@@ -17,7 +17,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import analysis, operators, qep
-from .eig import EigenSolveError, Spectrum, eigs_general, eigs_symmetric, match_spectra
+from .eig import (
+    EigenSolveError,
+    Spectrum,
+    eigs_general,
+    eigs_symmetric,
+    match_spectra,
+    single_blas_thread,
+)
 from .graphgen import (
     DegreeStats,
     Graph,
@@ -36,16 +43,36 @@ EXIT_BAD_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _fmt(x: float) -> float:
-    # floats pass through json.dumps with repr round-trip fidelity
-    return float(x)
-
-
-def _threads() -> int:
+def _thread_cap() -> Optional[int]:
+    """The worker cap set by ``NBSPEC_THREADS``, or None when it is unset."""
+    raw = os.environ.get("NBSPEC_THREADS")
+    if raw is None:
+        return None
     try:
-        return max(1, int(os.environ.get("NBSPEC_THREADS", "4")))
+        cap = int(raw)
+        if cap >= 1:
+            return cap
     except ValueError:
-        return 4
+        pass
+    raise InvalidParameters(f"NBSPEC_THREADS must be a positive integer, got {raw!r}")
+
+
+def _workers(tasks: int) -> int:
+    """One worker per task, capped by the usable cores and ``NBSPEC_THREADS``."""
+    cap = _thread_cap()
+    return min(tasks, len(os.sched_getaffinity(0)), tasks if cap is None else cap)
+
+
+def _check_args(args) -> None:
+    """Reject out-of-range options before any work starts."""
+    if getattr(args, "seeds", 1) < 1:
+        raise InvalidParameters(f"--seeds must be at least 1, got {args.seeds}")
+    if not 0 <= args.tau < 1:
+        raise InvalidParameters(f"--tau must lie in [0, 1), got {args.tau}")
+    if args.dense_cap < 0:
+        raise InvalidParameters(f"--dense-cap must be non-negative, got {args.dense_cap}")
+    if args.command == "classify":
+        _thread_cap()  # raises on a malformed NBSPEC_THREADS
 
 
 def _regular_graph(d: int, n: int) -> Graph:
@@ -194,7 +221,7 @@ def cmd_classify(args) -> int:
             stats = analysis.estimate_stats(graph)
         spec = _h_spectrum(graph)
         report = analysis.classify_spectrum(spec, stats, tau=args.tau)
-        if args.format == "svg" or args.svg:
+        if args.svg:
             with open(out / f"spectrum_seed{seed}.svg", "w") as fh:
                 analysis.write_spectrum_svg(spec, math.sqrt(stats.gamma), fh)
         return {
@@ -203,11 +230,13 @@ def cmd_classify(args) -> int:
         }
 
     seeds = list(range(args.seed, args.seed + args.seeds))
-    if len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
+    # dense eigvals gains nothing from BLAS threads, so each seed gets one
+    # BLAS thread and a core of its own.  Workers on a BLAS that cannot be
+    # limited would oversubscribe the cores: it gets one worker.
+    with single_blas_thread() as pinned:
+        workers = _workers(len(seeds)) if pinned else 1
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, seeds))
-    else:
-        results = [one(seeds[0])]
     doc = results[0] if len(results) == 1 else {"runs": results}
     text = json.dumps(doc, indent=2)
     (out / "classification.json").write_text(text + "\n")
@@ -368,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="annulus half-width for classification")
         p.add_argument("--dense-cap", type=int, default=operators.DEFAULT_DENSE_CAP)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json", "svg"), default="json")
 
     p = sub.add_parser("sample", help="sample an SBM and write its edge list")
     common(p)
@@ -408,6 +436,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        _check_args(args)
         return handlers[args.command](args)
     except (InvalidParameters, operators.DegreeTooSmallError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import cmath
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, TextIO, Tuple
+from typing import Iterator, Optional, TextIO, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -17,6 +21,7 @@ __all__ = [
     "eigs_general",
     "quadratic_roots",
     "match_spectra",
+    "single_blas_thread",
 ]
 
 
@@ -107,6 +112,58 @@ def eigs_general(m: np.ndarray) -> Spectrum:
             f"trace consistency violated: sum(eigs)={w.sum()!r} trace={tr!r}"
         )
     return Spectrum(w)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_setters() -> tuple:
+    """``openblas_set_num_threads_local`` of every OpenBLAS mapped into the process.
+
+    numpy and scipy each bundle their own copy; both are loaded once this
+    module is imported.  Empty where ``/proc/self/maps`` does not exist or no
+    loaded OpenBLAS exports the symbol (OpenBLAS < 0.3.27, another BLAS).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    # a library is mapped several times (text, data, ...); keep the first
+    paths = dict.fromkeys(
+        f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()
+    )
+    setters = []
+    for path in paths:
+        try:
+            fn = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = ctypes.c_int
+        setters.append(fn)
+    return tuple(setters)
+
+
+_blas_threads_lock = threading.RLock()
+
+
+@contextmanager
+def single_blas_thread() -> Iterator[bool]:
+    """Run the block with every loaded OpenBLAS limited to one thread.
+
+    Yields whether any library could be limited.  The thread count is
+    process-wide, not per calling thread: despite its name,
+    ``openblas_set_num_threads_local`` sets the global count and returns the
+    previous one.  That count is restored on exit, and the lock keeps
+    overlapping blocks from restoring each other's setting.
+    """
+    with _blas_threads_lock:
+        setters = _openblas_setters()
+        previous = [set_threads(1) for set_threads in setters]
+        try:
+            yield bool(setters)
+        finally:
+            for set_threads, count in zip(setters, previous):
+                set_threads(count)
 
 
 def quadratic_roots(a, x) -> Tuple[complex, complex]:

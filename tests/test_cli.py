@@ -104,6 +104,52 @@ class TestClassify:
         seeds = [r["config"]["seed"] for r in doc["runs"]]
         assert seeds == [1, 2, 3]  # merged deterministically by seed order
 
+    # n=200 makes 400x400 eigensolves, large enough for OpenBLAS to thread
+    SWEEP_GRAPH = ("--n", "200", "--p", "0.12", "--q", "0.04")
+
+    def test_sweep_runs_match_single_seed_runs(self, tmp_path, capsys):
+        out = ("--out", str(tmp_path))
+        code, sweep = run(capsys, "classify", *self.SWEEP_GRAPH, "--seed", "5",
+                          "--seeds", "3", *out)
+        assert code == 0
+        for i, r in enumerate(json.loads(sweep)["runs"]):
+            code, single = run(capsys, "classify", *self.SWEEP_GRAPH, "--seed", str(5 + i),
+                               *out)
+            assert code == 0
+            assert json.dumps(r["classification"]) == json.dumps(
+                json.loads(single)["classification"])
+
+    def test_output_independent_of_thread_cap(self, tmp_path, capsys, monkeypatch):
+        args = ("classify", *self.SWEEP_GRAPH, "--seed", "5", "--seeds", "3",
+                "--out", str(tmp_path))
+        monkeypatch.delenv("NBSPEC_THREADS", raising=False)
+        _, unset = run(capsys, *args)
+        monkeypatch.setenv("NBSPEC_THREADS", "1")
+        _, capped = run(capsys, *args)
+        assert capped == unset
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv, threads", [
+        (["classify", "--seeds", "0"], None),
+        (["classify", "--seeds", "-2"], None),
+        (["classify", "--tau", "-1"], None),
+        (["classify", "--tau", "1"], None),
+        (["classify", "--tau", "5"], None),
+        (["spectrum", "--dense-cap", "-5"], None),
+        (["classify"], "abc"),
+        (["classify"], "0"),
+    ])
+    def test_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, argv, threads):
+        if threads is not None:
+            monkeypatch.setenv("NBSPEC_THREADS", threads)
+        out = tmp_path / "out"
+        code = main([*argv, "--preset", "k4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestBound:
     def test_regular_graph_zero_radius(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nbspec import eig
 from nbspec.eig import (
     NotSymmetricError,
     Spectrum,
@@ -12,6 +13,7 @@ from nbspec.eig import (
     eigs_symmetric,
     match_spectra,
     quadratic_roots,
+    single_blas_thread,
 )
 from nbspec.operators import build_H, build_H0
 from nbspec.graphgen import DegreeStats, SbmParams, expected_stats, sample_sbm
@@ -180,3 +182,22 @@ class TestSpectrumType:
         ok, gap = match_spectra(a, b, tolerance=2.9)
         assert not ok
         assert gap == pytest.approx(3.0)
+
+
+class TestSingleBlasThread:
+    def test_limits_inside_and_restores_after(self):
+        setters = eig._openblas_setters()
+        if not setters:
+            pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
+        # each setter returns the count it replaces
+        original = [set_threads(2) for set_threads in setters]
+        try:
+            with single_blas_thread() as pinned:
+                inside = [set_threads(1) for set_threads in setters]
+            after = [set_threads(2) for set_threads in setters]
+        finally:
+            for set_threads, count in zip(setters, original):
+                set_threads(count)
+        assert pinned
+        assert inside == [1] * len(setters)
+        assert after == [2] * len(setters)
