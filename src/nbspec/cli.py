@@ -30,6 +30,8 @@ from .graphgen import (
     Graph,
     InvalidParameters,
     SbmParams,
+    circulant,
+    complete_graph,
     degree_concentration,
     expected_stats,
     sample_sbm,
@@ -79,24 +81,7 @@ def _regular_graph(d: int, n: int) -> Graph:
     """Circulant d-regular graph on n vertices (offsets 1..d//2, plus n/2 if d odd)."""
     if d >= n or d < 1 or (d % 2 == 1 and n % 2 == 1):
         raise InvalidParameters(f"no circulant {d}-regular graph on {n} vertices")
-    edges = set()
-    for k in range(1, d // 2 + 1):
-        for i in range(n):
-            j = (i + k) % n
-            edges.add((min(i, j), max(i, j)))
-    if d % 2 == 1:
-        for i in range(n // 2):
-            edges.add((i, i + n // 2))
-    labels = np.zeros(n, dtype=np.int8)
-    labels[n // 2 :] = 1
-    return Graph(n=n, edges=tuple(sorted(edges)), labels=labels)
-
-
-def _complete_graph(n: int) -> Graph:
-    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    labels = np.zeros(n, dtype=np.int8)
-    labels[n // 2 :] = 1
-    return Graph(n=n, edges=edges, labels=labels)
+    return circulant(n, list(range(1, d // 2 + 1)) + [n // 2] * (d % 2))
 
 
 def fig1_params(which: str, n: int = 1000, seed: int = 1) -> SbmParams:
@@ -111,10 +96,10 @@ def resolve_graph(args) -> Tuple[Graph, DegreeStats, Optional[SbmParams]]:
     preset = getattr(args, "preset", None)
     if preset:
         if preset == "k3":
-            g = _complete_graph(3)
+            g = complete_graph(3)
             return g, DegreeStats(alpha=2.0, beta=None, gamma=1.0), None
         if preset == "k4":
-            g = _complete_graph(4)
+            g = complete_graph(4)
             return g, DegreeStats(alpha=3.0, beta=None, gamma=2.0), None
         if preset.startswith("regular:"):
             d, n = map(int, preset.split(":", 1)[1].split(","))
@@ -128,9 +113,9 @@ def resolve_graph(args) -> Tuple[Graph, DegreeStats, Optional[SbmParams]]:
     if getattr(args, "input", None):
         with open(args.input) as fh:
             g = read_edge_list(fh)
-        mean_deg = float(g.degrees.mean())
-        if mean_deg <= 1:
+        if 2 * g.num_edges <= g.n:  # mean degree 2m/n <= 1, or no vertices
             raise InvalidParameters("graph too sparse for analysis (mean degree <= 1)")
+        mean_deg = float(g.degrees.mean())
         return g, DegreeStats(alpha=mean_deg, beta=None, gamma=mean_deg - 1), None
     if args.n is None or args.p is None or args.q is None:
         raise InvalidParameters("provide --preset, --input, or all of --n --p --q")
@@ -378,8 +363,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line, without the usage."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nbspec",
         description="Non-backtracking spectra of SBM graphs: operators, bounds, classification",
     )

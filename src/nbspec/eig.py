@@ -8,7 +8,7 @@ import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, TextIO, Tuple
+from typing import Iterator, TextIO, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -35,16 +35,13 @@ class NotSymmetricError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A multiset of eigenvalues, optionally rescaled.
+    """A multiset of eigenvalues.
 
     ``values`` is a complex array; for a symmetric source all entries are
-    real.  ``scale`` records any normalization already applied to the values
-    (e.g. 1/sqrt(alpha)); ``tolerance`` is the default matching tolerance.
+    real.
     """
 
     values: np.ndarray
-    scale: Optional[float] = None
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
@@ -53,14 +50,8 @@ class Spectrum:
     def __len__(self):
         return self.values.size
 
-    def scaled(self, factor: float) -> "Spectrum":
-        return Spectrum(self.values * factor, scale=factor, tolerance=self.tolerance)
-
     def reciprocals(self) -> "Spectrum":
-        return Spectrum(1.0 / self.values, tolerance=self.tolerance)
-
-    def real_parts(self) -> np.ndarray:
-        return np.sort(self.values.real)
+        return Spectrum(1.0 / self.values)
 
     def write_csv(self, fh: TextIO):
         fh.write("re,im\n")

@@ -1,4 +1,4 @@
-"""Seeded two-block stochastic block model sampling and degree statistics."""
+"""Seeded two-block stochastic block model sampling, special graphs and degree statistics."""
 
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ __all__ = [
     "Graph",
     "DegreeStats",
     "sample_sbm",
+    "complete_graph",
+    "circulant",
     "expected_stats",
     "degree_concentration",
     "write_edge_list",
@@ -58,24 +60,22 @@ class SbmParams:
 class Graph:
     """An undirected simple graph with planted two-block labels.
 
-    ``edges`` is a sorted tuple of (i, j) pairs with i < j.  Immutable after
+    ``edges`` is an (m, 2) int64 array of rows (i, j) with i < j, in
+    lexicographic order; ``degrees`` is computed from it.  Immutable after
     construction; safe to share across threads.
     """
 
     n: int
-    edges: tuple
+    edges: np.ndarray
     labels: np.ndarray
-    degrees: np.ndarray = field(default=None)
+    degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.degrees is None:
-            deg = np.zeros(self.n, dtype=np.int64)
-            for i, j in self.edges:
-                deg[i] += 1
-                deg[j] += 1
-            object.__setattr__(self, "degrees", deg)
-        self.labels.setflags(write=False)
-        self.degrees.setflags(write=False)
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "degrees", np.bincount(edges.ravel(), minlength=self.n))
+        for arr in (edges, self.labels, self.degrees):
+            arr.setflags(write=False)
 
     @property
     def num_edges(self) -> int:
@@ -84,17 +84,10 @@ class Graph:
     def adjacency(self) -> np.ndarray:
         """Dense n x n symmetric 0/1 adjacency matrix (built on demand)."""
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        i, j = self.edges.T
+        a[i, j] = 1.0
+        a[j, i] = 1.0
         return a
-
-    def adjacency_lists(self) -> list:
-        nbrs = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return [sorted(v) for v in nbrs]
 
     def min_degree(self) -> int:
         return int(self.degrees.min()) if self.n else 0
@@ -157,11 +150,27 @@ def sample_sbm(params: SbmParams) -> Graph:
     same_block = (iu < half) == (ju < half)
     thresh = np.where(same_block, params.p, params.q)
     keep = u < thresh
-    edges = tuple(zip(iu[keep].tolist(), ju[keep].tolist()))
+    return Graph(n=n, edges=np.column_stack((iu[keep], ju[keep])), labels=_halves(n))
 
+
+def _halves(n: int) -> np.ndarray:
+    """Labels 0 for vertices 0..n/2-1 and 1 for the rest."""
     labels = np.zeros(n, dtype=np.int8)
-    labels[half:] = 1
-    return Graph(n=n, edges=edges, labels=labels)
+    labels[n // 2 :] = 1
+    return labels
+
+
+def complete_graph(n: int) -> Graph:
+    """K_n, labelled in two halves."""
+    return Graph(n=n, edges=np.column_stack(np.triu_indices(n, k=1)), labels=_halves(n))
+
+
+def circulant(n: int, offsets) -> Graph:
+    """The circulant graph joining i and i + k mod n for every k in ``offsets``."""
+    i = np.arange(n)
+    j = (i[None, :] + np.asarray(offsets, dtype=np.int64)[:, None]) % n
+    pairs = np.column_stack((np.minimum(i, j).ravel(), np.maximum(i, j).ravel()))
+    return Graph(n=n, edges=np.unique(pairs, axis=0), labels=_halves(n))
 
 
 def degree_concentration(
@@ -190,7 +199,7 @@ def write_edge_list(graph: Graph, fh: TextIO, params: Optional[SbmParams] = None
     q = params.q if params is not None else math.nan
     fh.write(f"{graph.n} {graph.num_edges} {seed} {p!r} {q!r}\n")
     fh.write("".join(str(int(b)) for b in graph.labels) + "\n")
-    for i, j in graph.edges:
+    for i, j in graph.edges.tolist():
         fh.write(f"{i} {j}\n")
 
 
@@ -212,4 +221,4 @@ def read_edge_list(fh: TextIO) -> Graph:
     edges = tuple(sorted(set(edges)))
     if len(edges) != m:
         raise InvalidParameters("duplicate edges in file")
-    return Graph(n=n, edges=edges, labels=labels)
+    return Graph(n=n, edges=np.array(edges, dtype=np.int64), labels=labels)

@@ -14,6 +14,7 @@ __all__ = [
     "BetheHessian",
     "TooLargeError",
     "DegreeTooSmallError",
+    "companion",
     "build_B",
     "build_H",
     "build_H0",
@@ -37,7 +38,7 @@ class DegreeTooSmallError(ValueError):
 
 @dataclass(frozen=True)
 class Linearization:
-    """A matrix representing the non-backtracking spectrum, with provenance.
+    """A matrix representing the non-backtracking spectrum.
 
     ``kind`` is one of B, H, H0, K, K0.  For the companion kinds (all but B)
     ``matrix`` has block shape [[a_block, x_block], [I, 0]]; for B the blocks
@@ -48,8 +49,6 @@ class Linearization:
     matrix: np.ndarray
     a_block: Optional[np.ndarray] = None
     x_block: Optional[np.ndarray] = None
-    graph: Optional[Graph] = None
-    stats: Optional[DegreeStats] = None
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -70,14 +69,19 @@ class BetheHessian:
         self.matrix.setflags(write=False)
 
 
-def _companion(kind, a_block, x_block, graph, stats=None) -> Linearization:
-    n = a_block.shape[0]
+def companion(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The 2n x 2n companion matrix [[A, X], [I, 0]] of the pencil z^2 I - z A - X."""
+    n = a.shape[0]
     m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = a_block
-    m[:n, n:] = x_block
+    m[:n, :n] = a
+    m[:n, n:] = x
     m[n:, :n] = np.eye(n)
+    return m
+
+
+def _companion(kind, a_block, x_block) -> Linearization:
     return Linearization(
-        kind=kind, matrix=m, a_block=a_block, x_block=x_block, graph=graph, stats=stats
+        kind=kind, matrix=companion(a_block, x_block), a_block=a_block, x_block=x_block
     )
 
 
@@ -94,24 +98,17 @@ def build_B(graph: Graph, dense_cap: int = DEFAULT_DENSE_CAP) -> Linearization:
         raise TooLargeError(
             f"B would be {m2} x {m2}, over the dense cap {dense_cap}; use build_H"
         )
-    darts = sorted(
-        [(i, j) for i, j in graph.edges] + [(j, i) for i, j in graph.edges]
-    )
-    index = {d: t for t, d in enumerate(darts)}
-    out = graph.adjacency_lists()
-    b = np.zeros((m2, m2))
-    for t, (i, j) in enumerate(darts):
-        for l in out[j]:
-            if l != i:
-                b[t, index[(j, l)]] = 1.0
-    return Linearization(kind="B", matrix=b, graph=graph)
+    darts = np.concatenate((graph.edges, graph.edges[:, ::-1]))
+    tail, head = darts[np.lexsort((darts[:, 1], darts[:, 0]))].T
+    b = (head[:, None] == tail[None, :]) & (head[None, :] != tail[:, None])
+    return Linearization(kind="B", matrix=b.astype(float))
 
 
 def build_H(graph: Graph) -> Linearization:
     """The 2n x 2n companion matrix [[A, I-D], [I, 0]] of the pencil z^2 I - z A + D - I."""
     a = graph.adjacency()
     x = np.eye(graph.n) - np.diag(graph.degrees.astype(float))
-    return _companion("H", a, x, graph)
+    return _companion("H", a, x)
 
 
 def build_H0(graph: Graph, stats: DegreeStats) -> Linearization:
@@ -124,7 +121,7 @@ def build_H0(graph: Graph, stats: DegreeStats) -> Linearization:
         raise ValueError(f"requires alpha > 1, got alpha = {stats.alpha}")
     a = graph.adjacency()
     x = -stats.gamma * np.eye(graph.n)
-    return _companion("H0", a, x, graph, stats)
+    return _companion("H0", a, x)
 
 
 def build_K(graph: Graph) -> Linearization:
@@ -139,7 +136,7 @@ def build_K(graph: Graph) -> Linearization:
     inv = 1.0 / (graph.degrees.astype(float) - 1.0)
     a = inv[:, None] * graph.adjacency()
     x = -np.diag(inv)
-    return _companion("K", a, x, graph)
+    return _companion("K", a, x)
 
 
 def build_K0(graph: Graph, stats: DegreeStats) -> Linearization:
@@ -148,7 +145,7 @@ def build_K0(graph: Graph, stats: DegreeStats) -> Linearization:
         raise ValueError(f"requires alpha > 1, got alpha = {stats.alpha}")
     a = graph.adjacency() / stats.gamma
     x = -np.eye(graph.n) / stats.gamma
-    return _companion("K0", a, x, graph, stats)
+    return _companion("K0", a, x)
 
 
 def bethe_hessian(graph: Graph, r: float) -> BetheHessian:

@@ -10,12 +10,13 @@ eps-balls are preserved.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .eig import Spectrum, eigs_general
+from .operators import companion
 
 __all__ = [
     "QepPair",
@@ -60,12 +61,7 @@ class QepPair:
         return self.a_block.shape[0]
 
     def linearization(self) -> np.ndarray:
-        n = self.n
-        m = np.zeros((2 * n, 2 * n))
-        m[:n, :n] = self.a_block
-        m[:n, n:] = self.x_block
-        m[n:, :n] = np.eye(n)
-        return m
+        return companion(self.a_block, self.x_block)
 
     @classmethod
     def from_linearization(cls, lin) -> "QepPair":
@@ -81,7 +77,6 @@ class QepBoundReport:
     kappa: float
     per_mu: List[Tuple[complex, float, complex, float]]  # (mu, eps(mu), nu, |mu-nu|)
     epsilon_global: float
-    clusters: list = field(default_factory=list)
 
     def all_within_bound(self) -> bool:
         return all(dist <= eps for _, eps, _, dist in self.per_mu)
@@ -101,16 +96,6 @@ class QepBoundReport:
                     "distance": dist,
                 }
                 for mu, eps, nu, dist in self.per_mu
-            ],
-            "clusters": [
-                {
-                    "centers": [[c.real, c.imag] for c in centers],
-                    "radius": radius,
-                    "expected": expected,
-                    "observed": observed,
-                    "separated": separated,
-                }
-                for centers, radius, expected, observed, separated in self.clusters
             ],
         }
         return json.dumps(doc, indent=2)

@@ -1,30 +1,24 @@
 import numpy as np
 import pytest
 
-from nbspec.graphgen import Graph, SbmParams, expected_stats, sample_sbm
+from nbspec.graphgen import (  # noqa: F401  (circulant is re-exported to the tests)
+    Graph,
+    SbmParams,
+    circulant,
+    complete_graph,
+    expected_stats,
+    sample_sbm,
+)
 
 
 def make_graph(n, edges):
     labels = np.zeros(n, dtype=np.int8)
     labels[n // 2 :] = 1
-    return Graph(n=n, edges=tuple(sorted(edges)), labels=labels)
-
-
-def complete_graph(n):
-    return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n=n, edges=sorted(edges), labels=labels)
 
 
 def path3():
     return make_graph(3, [(0, 1), (1, 2)])
-
-
-def circulant(n, offsets):
-    edges = set()
-    for k in offsets:
-        for i in range(n):
-            j = (i + k) % n
-            edges.add((min(i, j), max(i, j)))
-    return make_graph(n, edges)
 
 
 def er_pool(count, n=16, p=0.4, start_seed=0, min_degree=1):

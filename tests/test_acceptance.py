@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from nbspec.analysis import classify_spectrum, recover_communities, semicircle_ks
 from nbspec.eig import eigs_general, eigs_symmetric, match_spectra
@@ -58,17 +59,7 @@ def fig1_runs():
 
 
 def _connected(g):
-    if g.n == 0:
-        return False
-    nbrs = g.adjacency_lists()
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in nbrs[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == g.n
+    return g.n > 0 and connected_components(g.adjacency(), directed=False)[0] == 1
 
 
 def test_criterion_1_closed_form_spectra():

@@ -139,6 +139,8 @@ class TestBadInput:
         (["spectrum", "--dense-cap", "-5"], None),
         (["classify"], "abc"),
         (["classify"], "0"),
+        (["classify", "--seeds", "abc"], None),
+        (["bound", "--pair", "X"], None),
     ])
     def test_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, argv, threads):
         if threads is not None:
@@ -149,6 +151,20 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["sample", "spectrum", "classify", "bound"])
+    @pytest.mark.parametrize("text", [
+        "0 0 0 nan nan\n\n",  # no vertices
+        "4 2 0 nan nan\n0011\n0 1\n2 3\n",  # mean degree exactly 1
+    ], ids=["empty", "mean-degree-1"])
+    def test_sparse_input_graph(self, tmp_path, capsys, command, text):
+        path = tmp_path / "graph.edgelist"
+        path.write_text(text)
+        code = main([command, "--input", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: graph too sparse for analysis (mean degree <= 1)\n"
 
 
 class TestBound:

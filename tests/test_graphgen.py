@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from nbspec.graphgen import (
     DegreeStats,
@@ -16,6 +17,15 @@ from nbspec.graphgen import (
 )
 
 from conftest import circulant, make_graph
+
+
+@st.composite
+def edge_sets(draw):
+    """A graph on up to 10 vertices with an arbitrary edge set, possibly empty."""
+    n = draw(st.integers(0, 10))
+    iu, ju = np.triu_indices(n, k=1)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=iu.size, max_size=iu.size)), bool)
+    return make_graph(n, zip(iu[keep].tolist(), ju[keep].tolist()))
 
 
 FIG1_N = 1000
@@ -75,12 +85,12 @@ class TestExpectedStats:
 class TestSampling:
     def test_reproducible(self):
         params = SbmParams(n=60, p=0.3, q=0.1, seed=7)
-        assert sample_sbm(params).edges == sample_sbm(params).edges
+        assert np.array_equal(sample_sbm(params).edges, sample_sbm(params).edges)
 
     def test_seed_changes_graph(self):
         a = sample_sbm(SbmParams(n=60, p=0.3, q=0.1, seed=7))
         b = sample_sbm(SbmParams(n=60, p=0.3, q=0.1, seed=8))
-        assert a.edges != b.edges
+        assert not np.array_equal(a.edges, b.edges)
 
     def test_dense_limit_is_complete(self):
         g = sample_sbm(SbmParams(n=4, p=1 - 1e-12, q=1 - 1e-12, seed=0))
@@ -93,8 +103,8 @@ class TestSampling:
 
     def test_no_self_loops_or_duplicates(self):
         g = sample_sbm(SbmParams(n=40, p=0.5, q=0.3, seed=3))
-        assert all(i < j for i, j in g.edges)
-        assert len(set(g.edges)) == g.num_edges
+        assert np.all(g.edges[:, 0] < g.edges[:, 1])
+        assert len(np.unique(g.edges, axis=0)) == g.num_edges
 
     def test_degrees_consistent(self):
         g = sample_sbm(SbmParams(n=40, p=0.5, q=0.3, seed=3))
@@ -174,8 +184,27 @@ class TestSerialization:
         buf.seek(0)
         g2 = read_edge_list(buf)
         assert g2.n == g.n
-        assert g2.edges == g.edges
+        assert np.array_equal(g2.edges, g.edges)
         assert np.array_equal(g2.labels, g.labels)
+        assert np.array_equal(g2.degrees, g.degrees)
+
+    @given(edge_sets())
+    @example(make_graph(5, []))
+    def test_edge_array_invariants(self, g):
+        a = g.adjacency()
+        ref = np.zeros((g.n, g.n))
+        for i, j in g.edges.tolist():
+            ref[i, j] = ref[j, i] = 1.0
+        assert np.array_equal(a, ref)
+        assert np.array_equal(g.degrees, a.sum(axis=1))
+        assert np.array_equal(a, a.T)
+        assert set(np.unique(a)) <= {0.0, 1.0}
+        assert np.all(np.diag(a) == 0)
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        buf.seek(0)
+        g2 = read_edge_list(buf)
+        assert np.array_equal(g2.edges, g.edges)
         assert np.array_equal(g2.degrees, g.degrees)
 
     def test_rejects_bad_header(self):

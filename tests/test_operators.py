@@ -46,11 +46,17 @@ class TestBuildB:
         ok, gap = match_spectra(spec.values, expected, tolerance=1e-8)
         assert ok, gap
 
-    def test_row_structure(self):
+    @pytest.mark.parametrize("g", [
+        complete_graph(4),
+        path3(),
+        make_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3)]),  # 3 has degree 1, 4 is isolated
+        sample_sbm(SbmParams(n=16, p=0.4, q=0.2, seed=3)),
+    ], ids=["k4", "path3", "pendant-isolated", "sbm16"])
+    def test_row_structure(self, g):
         # entry ((i,j),(k,l)) nonzero iff j=k and l != i
-        g = complete_graph(4)
         b = build_B(g)
-        darts = sorted([e for e in g.edges] + [(j, i) for i, j in g.edges])
+        edges = g.edges.tolist()
+        darts = sorted([(i, j) for i, j in edges] + [(j, i) for i, j in edges])
         for t, (i, j) in enumerate(darts):
             for s, (k, l) in enumerate(darts):
                 expected = 1.0 if j == k and l != i else 0.0
