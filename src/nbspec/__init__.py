@@ -13,7 +13,6 @@ from .graphgen import (
     sample_sbm,
 )
 from .operators import (
-    BetheHessian,
     Linearization,
     bethe_hessian,
     build_B,

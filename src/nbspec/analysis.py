@@ -1,11 +1,10 @@
-"""Spectrum classification, Ihara-Bass verification, semicircle fit, community recovery."""
+"""Spectrum classification, the invariant checks, semicircle fit, community recovery."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, TextIO, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -16,7 +15,9 @@ from .operators import (
     bethe_hessian,
     build_B,
     build_H,
+    build_K,
 )
+from .qep import QepPair, qep_bound, spectral_norm
 
 __all__ = [
     "ClassificationReport",
@@ -24,6 +25,11 @@ __all__ = [
     "CommunityResult",
     "classify_spectrum",
     "ihara_bass_check",
+    "check_ihara_bass",
+    "check_det_identity",
+    "check_eigenvalue_one",
+    "check_reciprocity",
+    "check_qep_trials",
     "semicircle_cdf",
     "ks_distance",
     "semicircle_ks",
@@ -86,7 +92,6 @@ class ClassificationReport:
 class EsdReport:
     """Kolmogorov-Smirnov fit of a rescaled empirical spectrum to a semicircle law."""
 
-    sample: np.ndarray
     radius: float  # semicircle support [-radius, radius]
     ks_distance: float
 
@@ -187,6 +192,89 @@ def ihara_bass_check(
     return ok, gap
 
 
+def _verdict(rows: Iterable[Tuple[bool, float]], key: str) -> dict:
+    """The ``verify`` entry of per-graph (ok, value) rows: every row must pass."""
+    ok, worst = True, 0.0
+    for row_ok, value in rows:
+        ok = ok and row_ok
+        worst = max(worst, value)
+    return {"status": "pass" if ok else "fail", key: worst}
+
+
+def check_ihara_bass(graphs: Sequence[Graph], dense_cap: int = DEFAULT_DENSE_CAP) -> dict:
+    """``ihara_bass_check`` within 1e-6 on every graph; skipped when some B exceeds the cap."""
+    if 2 * max(g.num_edges for g in graphs) > dense_cap:
+        return {"status": "skipped", "reason": "dense cap too low"}
+    return _verdict(
+        (ihara_bass_check(g, dense_cap=dense_cap, tolerance=1e-6) for g in graphs), "max_gap"
+    )
+
+
+def check_det_identity(graphs: Sequence[Graph]) -> dict:
+    """det H = prod(d_i - 1), compared in log space.
+
+    With min degree >= 2, det H must be positive with log within 1e-6
+    (relative) of sum log(d_i - 1).  A degree-1 vertex makes the product 0,
+    so det H must be exactly 0 or below e^-6.
+    """
+
+    def row(g: Graph) -> Tuple[bool, float]:
+        sign, logdet = np.linalg.slogdet(build_H(g).matrix)
+        if g.min_degree() < 2:
+            return sign == 0 or logdet < -6, 0.0
+        target = float(np.sum(np.log(g.degrees - 1.0)))
+        rel = abs(logdet - target) / max(abs(target), 1.0)
+        return sign > 0 and rel <= 1e-6, rel
+
+    return _verdict(map(row, graphs), "max_rel")
+
+
+def check_eigenvalue_one(graphs: Sequence[Graph]) -> dict:
+    """1 is an eigenvalue of H, to 1e-8, on every graph."""
+
+    def row(g: Graph) -> Tuple[bool, float]:
+        gap = float(np.min(np.abs(eigs_general(build_H(g).matrix).values - 1.0)))
+        return gap <= 1e-8, gap
+
+    return _verdict(map(row, graphs), "max_gap")
+
+
+def check_reciprocity(graphs: Sequence[Graph]) -> dict:
+    """Spec(K) = 1/Spec(H) within 1e-6 on every graph of min degree >= 2 (K needs it)."""
+
+    def row(g: Graph) -> Tuple[bool, float]:
+        spec_h = eigs_general(build_H(g).matrix)
+        spec_k = eigs_general(build_K(g).matrix)
+        return match_spectra(spec_k.values, 1.0 / spec_h.values, tolerance=1e-6)
+
+    return _verdict((row(g) for g in graphs if g.min_degree() >= 2), "max_gap")
+
+
+def check_qep_trials(rng: np.random.Generator, trials: int) -> dict:
+    """The QEP Bauer-Fike bound on random pencils (A, cI) and (A, cI + E).
+
+    Each trial draws n in [2, 12], a symmetric A with entries in [-1, 1],
+    c in [0.5, 2] and an E rescaled to spectral norm at most 0.5; a trial is
+    a violation when some eigenvalue lies outside its radius.
+    """
+    violations = 0
+    for _ in range(trials):
+        n = int(rng.integers(2, 13))
+        a = rng.uniform(-1, 1, (n, n))
+        a = (a + a.T) / 2
+        c = rng.uniform(0.5, 2.0)
+        e = rng.uniform(-1, 1, (n, n))
+        e *= rng.uniform(0, 0.5) / max(spectral_norm(e), 1e-12)
+        report = qep_bound(QepPair(a, c * np.eye(n)), QepPair(a, c * np.eye(n) + e))
+        if not report.all_within_bound():
+            violations += 1
+    return {
+        "status": "pass" if violations == 0 else "fail",
+        "trials": trials,
+        "violations": violations,
+    }
+
+
 def semicircle_cdf(x: np.ndarray, radius: float) -> np.ndarray:
     """Exact CDF of the semicircle law on [-radius, radius]."""
     r = radius
@@ -220,7 +308,7 @@ def semicircle_ks(spec: Spectrum, mode: str, stats: DegreeStats) -> EsdReport:
     else:
         raise ValueError(f"unknown mode {mode!r}")
     ks = ks_distance(sample, semicircle_cdf(sample, radius))
-    return EsdReport(sample=sample, radius=radius, ks_distance=ks)
+    return EsdReport(radius=radius, ks_distance=ks)
 
 
 def estimate_stats(graph: Graph) -> DegreeStats:
@@ -241,31 +329,23 @@ def estimate_stats(graph: Graph) -> DegreeStats:
 def recover_communities(
     graph: Graph,
     stats: DegreeStats,
-    use_all_negative: bool = False,
     r: Optional[float] = None,
 ) -> CommunityResult:
     """Two-block recovery from the Bethe Hessian at r = alpha/beta.
 
     Labels come from the sign of the eigenvector of the second-smallest
-    eigenvalue (the deterministic two-block variant); ``use_all_negative``
-    switches to signs of the mean over all negative-eigenvalue eigenvectors.
-    Accuracy is scored against the planted labels, maximized over the global
-    flip, so it is always >= 1/2.  An explicit ``r`` overrides the alpha/beta
+    eigenvalue (the deterministic two-block variant).  Accuracy is scored
+    against the planted labels, maximized over the global flip, so it is
+    always >= 1/2.  An explicit ``r`` overrides the alpha/beta
     default (needed when beta is undefined, e.g. a single community).
     """
     if r is None:
         if stats.beta is None or stats.beta <= 0:
             raise ValueError("recovery needs beta > 0 (two distinguishable blocks)")
         r = stats.alpha / stats.beta
-    h = bethe_hessian(graph, r)
-    spectrum, vectors = eigs_symmetric(h.matrix, with_vectors=True)
-    vals = spectrum.values.real
-    neg_count = int(np.count_nonzero(vals < 0))
-    if use_all_negative and neg_count >= 2:
-        vec = vectors[:, :neg_count][:, 1:].mean(axis=1)
-    else:
-        vec = vectors[:, 1]
-    signs = np.where(vec >= 0, 1, -1)
+    spectrum, vectors = eigs_symmetric(bethe_hessian(graph, r), with_vectors=True)
+    neg_count = int(np.count_nonzero(spectrum.values.real < 0))
+    signs = np.where(vectors[:, 1] >= 0, 1, -1)
     planted = np.where(graph.labels == 0, 1, -1)
     agree = float(np.mean(signs == planted))
     return CommunityResult(

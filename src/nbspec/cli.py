@@ -17,14 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import analysis, operators, qep
-from .eig import (
-    EigenSolveError,
-    Spectrum,
-    eigs_general,
-    eigs_symmetric,
-    match_spectra,
-    single_blas_thread,
-)
+from .eig import EigenSolveError, Spectrum, eigs_general, eigs_symmetric, single_blas_thread
 from .graphgen import (
     DegreeStats,
     Graph,
@@ -33,7 +26,9 @@ from .graphgen import (
     circulant,
     complete_graph,
     degree_concentration,
+    er_pool,
     expected_stats,
+    fig1_params,
     sample_sbm,
     write_edge_list,
     read_edge_list,
@@ -84,13 +79,6 @@ def _regular_graph(d: int, n: int) -> Graph:
     return circulant(n, list(range(1, d // 2 + 1)) + [n // 2] * (d % 2))
 
 
-def fig1_params(which: str, n: int = 1000, seed: int = 1) -> SbmParams:
-    logsq = math.log(n) ** 2 / n
-    if which == "right":
-        return SbmParams(n=n, p=3 * logsq, q=logsq, seed=seed)
-    return SbmParams(n=n, p=logsq, q=logsq, seed=seed)
-
-
 def resolve_graph(args) -> Tuple[Graph, DegreeStats, Optional[SbmParams]]:
     """Graph + stats from --preset, --input, or raw --n/--p/--q/--seed."""
     preset = getattr(args, "preset", None)
@@ -111,8 +99,11 @@ def resolve_graph(args) -> Tuple[Graph, DegreeStats, Optional[SbmParams]]:
             return g, expected_stats(params), params
         raise InvalidParameters(f"unknown preset {preset!r}")
     if getattr(args, "input", None):
-        with open(args.input) as fh:
-            g = read_edge_list(fh)
+        try:
+            with open(args.input) as fh:
+                g = read_edge_list(fh)
+        except OSError as exc:
+            raise InvalidParameters(f"cannot read {args.input}: {exc.strerror}") from None
         if 2 * g.num_edges <= g.n:  # mean degree 2m/n <= 1, or no vertices
             raise InvalidParameters("graph too sparse for analysis (mean degree <= 1)")
         mean_deg = float(g.degrees.mean())
@@ -196,8 +187,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    out = _outdir(args)
-
     def one(seed: int) -> dict:
         local = argparse.Namespace(**vars(args))
         local.seed = seed
@@ -207,7 +196,7 @@ def cmd_classify(args) -> int:
         spec = _h_spectrum(graph)
         report = analysis.classify_spectrum(spec, stats, tau=args.tau)
         if args.svg:
-            with open(out / f"spectrum_seed{seed}.svg", "w") as fh:
+            with open(_outdir(args) / f"spectrum_seed{seed}.svg", "w") as fh:
                 analysis.write_spectrum_svg(spec, math.sqrt(stats.gamma), fh)
         return {
             "config": _config_dict(local, params),
@@ -224,7 +213,7 @@ def cmd_classify(args) -> int:
             results = list(pool.map(one, seeds))
     doc = results[0] if len(results) == 1 else {"runs": results}
     text = json.dumps(doc, indent=2)
-    (out / "classification.json").write_text(text + "\n")
+    (_outdir(args) / "classification.json").write_text(text + "\n")
     print(text)
     return EXIT_OK
 
@@ -254,91 +243,16 @@ def cmd_bound(args) -> int:
 
 
 def _verify_suite(args) -> dict:
-    rng = np.random.default_rng(args.seed)
-    results = {}
-    fault = args.fault_inject
-
-    # small seeded Erdos-Renyi pool, conditioned on min degree >= 1
-    graphs = []
-    seed = args.seed
-    while len(graphs) < 10:
-        params = SbmParams(n=16, p=0.4, q=0.4, seed=seed)
-        g = sample_sbm(params)
-        seed += 1
-        if g.min_degree() >= 1:
-            graphs.append(g)
-
-    # ihara-bass
-    if 2 * max(g.num_edges for g in graphs) > args.dense_cap:
-        results["ihara-bass"] = {"status": "skipped", "reason": "dense cap too low"}
-    else:
-        worst = 0.0
-        ok = True
-        for g in graphs:
-            match, gap = analysis.ihara_bass_check(g, dense_cap=args.dense_cap)
-            worst = max(worst, gap)
-            ok = ok and match
-        if fault:
-            ok, worst = False, worst + 1.0
-        results["ihara-bass"] = {"status": "pass" if ok else "fail", "max_gap": worst}
-
-    # det-identity (log-space)
-    ok = True
-    worst = 0.0
-    for g in graphs:
-        h = operators.build_H(g).matrix
-        sign, logdet = np.linalg.slogdet(h)
-        if g.min_degree() >= 2:
-            target = float(np.sum(np.log(g.degrees - 1.0)))
-            rel = abs(logdet - target) / max(abs(target), 1.0)
-            worst = max(worst, rel)
-            ok = ok and rel <= 1e-6
-        else:
-            ok = ok and (sign == 0 or logdet < -6)
-    results["det-identity"] = {"status": "pass" if ok else "fail", "max_rel": worst}
-
-    # eigenvalue-one
-    ok = True
-    worst = 0.0
-    for g in graphs:
-        spec = _h_spectrum(g)
-        gap = float(np.min(np.abs(spec.values - 1.0)))
-        worst = max(worst, gap)
-        ok = ok and gap <= 1e-8
-    results["eigenvalue-one"] = {"status": "pass" if ok else "fail", "max_gap": worst}
-
-    # reciprocity: Spec(K) vs 1/Spec(H)
-    ok = True
-    worst = 0.0
-    for g in graphs:
-        if g.min_degree() < 2:
-            continue
-        spec_h = _h_spectrum(g)
-        spec_k = eigs_general(operators.build_K(g).matrix)
-        m_ok, gap = match_spectra(spec_k.values, 1.0 / spec_h.values, tolerance=1e-6)
-        worst = max(worst, gap)
-        ok = ok and m_ok
-    results["reciprocity"] = {"status": "pass" if ok else "fail", "max_gap": worst}
-
-    # qep random trials
-    violations = 0
-    trials = 50
-    for _ in range(trials):
-        n = int(rng.integers(2, 13))
-        a = rng.uniform(-1, 1, (n, n))
-        a = (a + a.T) / 2
-        c = rng.uniform(0.5, 2.0)
-        e = rng.uniform(-1, 1, (n, n))
-        e *= rng.uniform(0, 0.5) / max(qep.spectral_norm(e), 1e-12)
-        l0 = qep.QepPair(a, c * np.eye(n))
-        l1 = qep.QepPair(a, c * np.eye(n) + e)
-        report = qep.qep_bound(l0, l1)
-        if not report.all_within_bound():
-            violations += 1
-    results["qep-random-trials"] = {
-        "status": "pass" if violations == 0 else "fail",
-        "trials": trials,
-        "violations": violations,
+    graphs = er_pool(10, n=16, p=0.4, start_seed=args.seed)
+    ihara = analysis.check_ihara_bass(graphs, args.dense_cap)
+    if args.fault_inject and ihara["status"] != "skipped":
+        ihara = {"status": "fail", "max_gap": ihara["max_gap"] + 1.0}
+    results = {
+        "ihara-bass": ihara,
+        "det-identity": analysis.check_det_identity(graphs),
+        "eigenvalue-one": analysis.check_eigenvalue_one(graphs),
+        "reciprocity": analysis.check_reciprocity(graphs),
+        "qep-random-trials": analysis.check_qep_trials(np.random.default_rng(args.seed), 50),
     }
 
     # semicircle KS at moderate scale

@@ -15,6 +15,8 @@ __all__ = [
     "sample_sbm",
     "complete_graph",
     "circulant",
+    "er_pool",
+    "fig1_params",
     "expected_stats",
     "degree_concentration",
     "write_edge_list",
@@ -173,6 +175,26 @@ def circulant(n: int, offsets) -> Graph:
     return Graph(n=n, edges=np.unique(pairs, axis=0), labels=_halves(n))
 
 
+def er_pool(count, n=16, p=0.4, start_seed=0, min_degree=1):
+    """Seeded Erdos-Renyi graphs conditioned on a minimum degree."""
+    graphs = []
+    seed = start_seed
+    while len(graphs) < count:
+        g = sample_sbm(SbmParams(n=n, p=p, q=p, seed=seed))
+        seed += 1
+        if g.min_degree() >= min_degree:
+            graphs.append(g)
+    return graphs
+
+
+def fig1_params(which: str, n: int = 1000, seed: int = 1) -> SbmParams:
+    """The paper's Figure 1 family: q = (log n)^2 / n, and p = 3q ("right") or p = q."""
+    logsq = math.log(n) ** 2 / n
+    if which == "right":
+        return SbmParams(n=n, p=3 * logsq, q=logsq, seed=seed)
+    return SbmParams(n=n, p=logsq, q=logsq, seed=seed)
+
+
 def degree_concentration(
     graph: Graph, stats: DegreeStats, threshold: float = 0.3
 ) -> DegreeStats:
@@ -204,19 +226,28 @@ def write_edge_list(graph: Graph, fh: TextIO, params: Optional[SbmParams] = None
 
 
 def read_edge_list(fh: TextIO) -> Graph:
+    """Parse the format of ``write_edge_list``; a malformed line raises naming it."""
     header = fh.readline().split()
     if len(header) != 5:
-        raise InvalidParameters("bad edge-list header, expected `n m seed p q`")
-    n, m = int(header[0]), int(header[1])
+        raise InvalidParameters("line 1: bad edge-list header, expected `n m seed p q`")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise InvalidParameters("line 1: expected `n m seed p q` with integer n and m") from None
     label_line = fh.readline().strip()
     if len(label_line) != n or set(label_line) - {"0", "1"}:
-        raise InvalidParameters("label line must be n characters of 0/1")
+        raise InvalidParameters("line 2: label line must be n characters of 0/1")
     labels = np.array([int(c) for c in label_line], dtype=np.int8)
     edges = []
-    for _ in range(m):
-        i, j = map(int, fh.readline().split())
+    for line_no in range(3, m + 3):
+        try:
+            i, j = map(int, fh.readline().split())
+        except ValueError:
+            raise InvalidParameters(
+                f"line {line_no}: expected an edge `i j` (the header says m = {m})"
+            ) from None
         if i == j or not (0 <= i < n and 0 <= j < n):
-            raise InvalidParameters(f"bad edge ({i}, {j})")
+            raise InvalidParameters(f"line {line_no}: bad edge ({i}, {j})")
         edges.append((min(i, j), max(i, j)))
     edges = tuple(sorted(set(edges)))
     if len(edges) != m:

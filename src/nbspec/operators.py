@@ -11,7 +11,6 @@ from .graphgen import DegreeStats, Graph
 
 __all__ = [
     "Linearization",
-    "BetheHessian",
     "TooLargeError",
     "DegreeTooSmallError",
     "companion",
@@ -49,21 +48,6 @@ class Linearization:
     matrix: np.ndarray
     a_block: Optional[np.ndarray] = None
     x_block: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class BetheHessian:
-    """The deformed Laplacian (r^2 - 1) I + D - r A; symmetric by construction."""
-
-    r: float
-    matrix: np.ndarray
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -148,13 +132,17 @@ def build_K0(graph: Graph, stats: DegreeStats) -> Linearization:
     return _companion("K0", a, x)
 
 
-def bethe_hessian(graph: Graph, r: float) -> BetheHessian:
-    """(r^2 - 1) I + D - r A.  At r = 1 this is the graph Laplacian."""
+def bethe_hessian(graph: Graph, r: float) -> np.ndarray:
+    """The deformed Laplacian (r^2 - 1) I + D - r A, read-only and exactly symmetric.
+
+    At r = 1 this is the graph Laplacian.
+    """
     n = graph.n
     m = (r * r - 1.0) * np.eye(n) + np.diag(graph.degrees.astype(float))
     m -= r * graph.adjacency()
     m = (m + m.T) / 2.0  # kill roundoff asymmetry from the subtraction
-    return BetheHessian(r=r, matrix=m)
+    m.setflags(write=False)
+    return m
 
 
 def write_matrix_csv(m: np.ndarray, fh: TextIO):

@@ -81,9 +81,6 @@ class QepBoundReport:
     def all_within_bound(self) -> bool:
         return all(dist <= eps for _, eps, _, dist in self.per_mu)
 
-    def max_violation(self) -> float:
-        return max((dist - eps for _, eps, _, dist in self.per_mu), default=0.0)
-
     def to_json(self) -> str:
         doc = {
             "kappa": self.kappa,

@@ -11,9 +11,17 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from nbspec.analysis import classify_spectrum, recover_communities, semicircle_ks
+from nbspec.analysis import (
+    check_det_identity,
+    check_eigenvalue_one,
+    check_ihara_bass,
+    check_qep_trials,
+    classify_spectrum,
+    recover_communities,
+    semicircle_ks,
+)
 from nbspec.eig import eigs_general, eigs_symmetric, match_spectra
-from nbspec.graphgen import SbmParams, degree_concentration, expected_stats, sample_sbm
+from nbspec.graphgen import complete_graph, er_pool, expected_stats, fig1_params, sample_sbm
 from nbspec.operators import build_B, build_H, build_H0, build_K, build_K0
 from nbspec.qep import (
     QepPair,
@@ -23,13 +31,6 @@ from nbspec.qep import (
     qep_bound,
     spectral_norm,
 )
-
-from conftest import complete_graph, er_pool
-
-
-def fig1(seed, n=1000):
-    logsq = math.log(n) ** 2 / n
-    return SbmParams(n=n, p=3 * logsq, q=logsq, seed=seed)
 
 
 def _report(num, desc, ok):
@@ -51,7 +52,7 @@ def er50():
 def fig1_runs():
     runs = []
     for seed in range(1, 6):
-        params = fig1(seed)
+        params = fig1_params("right", seed=seed)
         g = sample_sbm(params)
         stats = expected_stats(params)
         runs.append((g, stats))
@@ -83,53 +84,33 @@ def test_criterion_1_closed_form_spectra():
 
 
 def test_criterion_2_ihara_bass(er50):
-    from nbspec.analysis import ihara_bass_check
-
     t0 = time.time()
-    worst = 0.0
-    ok = True
-    for g in er50:
-        match, gap = ihara_bass_check(g, tolerance=1e-6)
-        ok = ok and match
-        worst = max(worst, gap)
+    result = check_ihara_bass(er50)
     elapsed = time.time() - t0
     _report(
         2,
-        f"Ihara-Bass on 50 ER graphs (max gap {worst:.2e}; {elapsed:.1f}s)",
-        ok and worst <= 1e-6 and elapsed < 30.0,
+        f"Ihara-Bass on 50 ER graphs (max gap {result['max_gap']:.2e}; {elapsed:.1f}s)",
+        result["status"] == "pass" and elapsed < 30.0,
     )
 
 
 def test_criterion_3_determinant_identity(er50):
-    ok = True
-    worst = 0.0
-    for g in er50:
-        sign, logdet = np.linalg.slogdet(build_H(g).matrix)
-        if g.min_degree() >= 2:
-            target = float(np.sum(np.log(g.degrees - 1.0)))
-            rel = abs(logdet - target) / max(abs(target), 1.0)
-            worst = max(worst, rel)
-            ok = ok and sign > 0 and rel <= 1e-6
-        else:
-            # some d_i = 1 forces det(H) = prod(d_i - 1) = 0
-            scale = float(np.sum(np.log(np.maximum(g.degrees - 1.0, 1.0))))
-            ok = ok and (sign == 0 or logdet <= scale + math.log(1e-6))
-    _report(3, f"det(H) = prod(d_i - 1) in log-space (worst rel {worst:.2e})", ok)
+    result = check_det_identity(er50)
+    _report(
+        3,
+        f"det(H) = prod(d_i - 1) in log-space (worst rel {result['max_rel']:.2e})",
+        result["status"] == "pass",
+    )
 
 
 def test_criterion_4_eigenvalue_one(er50):
-    checked = 0
-    worst = 0.0
-    for g in er50:
-        if not _connected(g):
-            continue
-        checked += 1
-        spec = eigs_general(build_H(g).matrix)
-        worst = max(worst, float(np.min(np.abs(spec.values - 1.0))))
+    connected = [g for g in er50 if _connected(g)]
+    result = check_eigenvalue_one(connected)
     _report(
         4,
-        f"eigenvalue 1 of H on {checked} connected graphs (worst gap {worst:.2e})",
-        checked >= 40 and worst <= 1e-8,
+        f"eigenvalue 1 of H on {len(connected)} connected graphs "
+        f"(worst gap {result['max_gap']:.2e})",
+        len(connected) >= 40 and result["status"] == "pass",
     )
 
 
@@ -168,28 +149,18 @@ def test_criterion_5_figure1_reproduction(fig1_runs):
 
 def test_criterion_6_qep_property_suite():
     t0 = time.time()
-    rng = np.random.default_rng(2024)
-    violations = 0
-    for _ in range(200):
-        n = int(rng.integers(2, 13))
-        a = rng.uniform(-1, 1, (n, n))
-        a = (a + a.T) / 2
-        c = rng.uniform(0.5, 2.0)
-        e = rng.uniform(-1, 1, (n, n))
-        e *= rng.uniform(0, 0.5) / max(spectral_norm(e), 1e-12)
-        report = qep_bound(QepPair(a, c * np.eye(n)), QepPair(a, c * np.eye(n) + e))
-        if not report.all_within_bound():
-            violations += 1
+    result = check_qep_trials(np.random.default_rng(2024), 200)
     elapsed = time.time() - t0
     _report(
         6,
-        f"QEP Bauer-Fike, 200 random trials, {violations} violations ({elapsed:.1f}s)",
-        violations == 0 and elapsed < 60.0,
+        f"QEP Bauer-Fike, 200 random trials, {result['violations']} violations "
+        f"({elapsed:.1f}s)",
+        result["status"] == "pass" and elapsed < 60.0,
     )
 
 
 def test_criterion_7_square_root_improvement():
-    params = fig1(1, n=400)
+    params = fig1_params("right", n=400)
     g = sample_sbm(params)
     stats = expected_stats(params)
     h0 = build_H0(g, stats)
@@ -205,7 +176,7 @@ def test_criterion_7_square_root_improvement():
 
 
 def test_criterion_8_semicircle():
-    params = fig1(1, n=2000)
+    params = fig1_params("right", n=2000)
     g = sample_sbm(params)
     stats = expected_stats(params)
     spec_a = eigs_symmetric(g.adjacency())

@@ -1,10 +1,17 @@
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
 
+from nbspec import analysis
 from nbspec.analysis import (
+    check_det_identity,
+    check_eigenvalue_one,
+    check_ihara_bass,
+    check_qep_trials,
+    check_reciprocity,
     classify_spectrum,
     estimate_stats,
     ihara_bass_check,
@@ -15,10 +22,16 @@ from nbspec.analysis import (
     write_spectrum_svg,
 )
 from nbspec.eig import Spectrum, eigs_general, eigs_symmetric
-from nbspec.graphgen import DegreeStats, SbmParams, expected_stats, sample_sbm
-from nbspec.operators import TooLargeError, build_H, build_H0
-
-from conftest import circulant, complete_graph, er_pool
+from nbspec.graphgen import (
+    DegreeStats,
+    SbmParams,
+    circulant,
+    er_pool,
+    expected_stats,
+    sample_sbm,
+)
+from nbspec.operators import TooLargeError, build_H, build_H0, companion
+from nbspec.qep import qep_bound
 
 
 class TestClassify:
@@ -113,6 +126,38 @@ class TestIharaBass:
     def test_cap_propagates(self, k4):
         with pytest.raises(TooLargeError):
             ihara_bass_check(k4, dense_cap=4)
+
+
+def _h_off_by_identity(graph):
+    """H with its X block shifted by -I: the pencil of D, not D - I."""
+    h = build_H(graph)
+    x = h.x_block - np.eye(graph.n)
+    return dataclasses.replace(h, matrix=companion(h.a_block, x), x_block=x)
+
+
+def _qep_bound_zero_radius(l0, l1):
+    report = qep_bound(l0, l1)
+    return dataclasses.replace(
+        report, per_mu=[(mu, 0.0, nu, dist) for mu, _, nu, dist in report.per_mu]
+    )
+
+
+CHECK_GRAPHS = er_pool(3, n=12, p=0.5, start_seed=0, min_degree=2)
+
+
+class TestChecks:
+    @pytest.mark.parametrize("check, attr, broken", [
+        (lambda: check_ihara_bass(CHECK_GRAPHS), "build_H", _h_off_by_identity),
+        (lambda: check_det_identity(CHECK_GRAPHS), "build_H", _h_off_by_identity),
+        (lambda: check_eigenvalue_one(CHECK_GRAPHS), "build_H", _h_off_by_identity),
+        (lambda: check_reciprocity(CHECK_GRAPHS), "build_H", _h_off_by_identity),
+        (lambda: check_qep_trials(np.random.default_rng(0), 5),
+         "qep_bound", _qep_bound_zero_radius),
+    ], ids=["ihara-bass", "det-identity", "eigenvalue-one", "reciprocity", "qep-trials"])
+    def test_fails_on_broken_operator(self, monkeypatch, check, attr, broken):
+        assert check()["status"] == "pass"
+        monkeypatch.setattr(analysis, attr, broken)
+        assert check()["status"] == "fail"
 
 
 class TestSemicircle:

@@ -161,10 +161,33 @@ class TestBadInput:
     def test_sparse_input_graph(self, tmp_path, capsys, command, text):
         path = tmp_path / "graph.edgelist"
         path.write_text(text)
-        code = main([command, "--input", str(path), "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = main([command, "--input", str(path), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: graph too sparse for analysis (mean degree <= 1)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["missing.el", "."], ids=["missing", "directory"])
+    def test_unreadable_input(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        code = main(["spectrum", "--input", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot read {path}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        "4 3 0 nan nan\n0011\n0 1\n",  # fewer edge lines than the header's m
+        "4 1 0 nan nan\n0011\n0 x\n",  # non-integer vertex
+        "4 two 0 nan nan\n0011\n",  # non-integer m
+    ], ids=["short", "bad-vertex", "bad-header"])
+    def test_malformed_edge_list(self, tmp_path, capsys, text):
+        path = tmp_path / "graph.edgelist"
+        path.write_text(text)
+        code = main(["spectrum", "--input", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: line ") and err.count("\n") == 1
 
 
 class TestBound:

@@ -16,9 +16,7 @@ from nbspec.eig import (
     single_blas_thread,
 )
 from nbspec.operators import build_H, build_H0
-from nbspec.graphgen import DegreeStats, SbmParams, expected_stats, sample_sbm
-
-from conftest import complete_graph
+from nbspec.graphgen import DegreeStats, SbmParams, complete_graph, expected_stats, sample_sbm
 
 
 class TestSymmetric:

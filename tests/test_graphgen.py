@@ -9,6 +9,7 @@ from nbspec.graphgen import (
     DegreeStats,
     InvalidParameters,
     SbmParams,
+    circulant,
     degree_concentration,
     expected_stats,
     read_edge_list,
@@ -16,7 +17,7 @@ from nbspec.graphgen import (
     write_edge_list,
 )
 
-from conftest import circulant, make_graph
+from conftest import make_graph
 
 
 @st.composite

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from nbspec.eig import eigs_general, eigs_symmetric, match_spectra, quadratic_roots
-from nbspec.graphgen import DegreeStats, SbmParams, expected_stats, sample_sbm
+from nbspec.graphgen import (
+    DegreeStats,
+    SbmParams,
+    circulant,
+    complete_graph,
+    expected_stats,
+    sample_sbm,
+)
 from nbspec.operators import (
     DegreeTooSmallError,
     TooLargeError,
@@ -18,7 +25,7 @@ from nbspec.operators import (
     write_matrix_csv,
 )
 
-from conftest import circulant, complete_graph, make_graph, path3
+from conftest import make_graph, path3
 
 
 K4_H_SPECTRUM = [2, 1] + [complex(-0.5, s * math.sqrt(7) / 2) for s in (1, -1)] * 3
@@ -181,28 +188,29 @@ class TestBuildK:
 class TestBetheHessian:
     def test_r_one_is_laplacian(self):
         g = complete_graph(4)
-        bh = bethe_hessian(g, 1.0)
+        m = bethe_hessian(g, 1.0)
         lap = np.diag(g.degrees.astype(float)) - g.adjacency()
-        assert np.array_equal(bh.matrix, lap)
-        assert eigs_symmetric(bh.matrix).values.real[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.array_equal(m, lap)
+        assert eigs_symmetric(m).values.real[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_r_minus_one_is_signless_laplacian(self):
         g = complete_graph(4)
-        bh = bethe_hessian(g, -1.0)
+        m = bethe_hessian(g, -1.0)
         assert np.array_equal(
-            bh.matrix, np.diag(g.degrees.astype(float)) + g.adjacency()
+            m, np.diag(g.degrees.astype(float)) + g.adjacency()
         )
 
     def test_exactly_symmetric(self):
         params = SbmParams(n=30, p=0.5, q=0.2, seed=1)
         g = sample_sbm(params)
-        bh = bethe_hessian(g, 1.7320508)
-        assert np.array_equal(bh.matrix, bh.matrix.T)
+        m = bethe_hessian(g, 1.7320508)
+        assert np.array_equal(m, m.T)
+        assert not m.flags.writeable
 
     def test_fig1_two_negative_eigenvalues(self, fig1_instance):
         g, stats = fig1_instance
-        bh = bethe_hessian(g, stats.alpha / stats.beta)
-        vals = eigs_symmetric(bh.matrix).values.real
+        m = bethe_hessian(g, stats.alpha / stats.beta)
+        vals = eigs_symmetric(m).values.real
         assert int(np.count_nonzero(vals < 0)) == 2
 
 

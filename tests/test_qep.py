@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from nbspec.analysis import check_qep_trials
 from nbspec.eig import Spectrum, eigs_general
-from nbspec.graphgen import degree_concentration
+from nbspec.graphgen import complete_graph, degree_concentration
 from nbspec.operators import build_H, build_H0, build_K, build_K0
 from nbspec.qep import (
     NotQepDiagonalizableError,
@@ -18,11 +19,8 @@ from nbspec.qep import (
     spectral_norm,
 )
 
-from conftest import complete_graph, er_pool
 
-
-def random_instance(rng, n=None, e_norm=None):
-    n = n or int(rng.integers(2, 13))
+def random_instance(rng, n, e_norm=None):
     a = rng.uniform(-1, 1, (n, n))
     a = (a + a.T) / 2
     c = rng.uniform(0.5, 2.0)
@@ -153,10 +151,8 @@ class TestQepBound:
         assert report.all_within_bound()
 
     def test_property_200_random_trials(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            l0, l1, _ = random_instance(rng)
-            assert qep_bound(l0, l1).all_within_bound()
+        result = check_qep_trials(np.random.default_rng(42), 200)
+        assert result == {"status": "pass", "trials": 200, "violations": 0}
 
     def test_report_json_round_trip(self):
         rng = np.random.default_rng(7)
