@@ -13,7 +13,7 @@ from .graphgen import (
     sample_sbm,
 )
 from .operators import (
-    Linearization,
+    QepPair,
     bethe_hessian,
     build_B,
     build_H,
@@ -24,7 +24,6 @@ from .operators import (
 from .eig import Spectrum, eigs_general, eigs_symmetric, match_spectra, quadratic_roots
 from .qep import (
     QepBoundReport,
-    QepPair,
     cluster_certificate,
     condition_number,
     corollary_bound,

@@ -50,9 +50,6 @@ class Spectrum:
     def __len__(self):
         return self.values.size
 
-    def reciprocals(self) -> "Spectrum":
-        return Spectrum(1.0 / self.values)
-
     def write_csv(self, fh: TextIO):
         fh.write("re,im\n")
         for z in sorted(self.values, key=lambda z: (z.real, z.imag)):

@@ -52,11 +52,6 @@ class SbmParams:
         if self.seed < 0:
             raise InvalidParameters("seed must be a nonnegative integer")
 
-    @property
-    def block_ratio(self) -> float:
-        """(p-q)/(p+q), sign-folded; lies in [0,1)."""
-        return abs(self.p - self.q) / (self.p + self.q)
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -234,6 +229,8 @@ def read_edge_list(fh: TextIO) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise InvalidParameters("line 1: expected `n m seed p q` with integer n and m") from None
+    if m < 0:
+        raise InvalidParameters(f"line 1: the edge count m must be non-negative, got {m}")
     label_line = fh.readline().strip()
     if len(label_line) != n or set(label_line) - {"0", "1"}:
         raise InvalidParameters("line 2: label line must be n characters of 0/1")
@@ -249,6 +246,9 @@ def read_edge_list(fh: TextIO) -> Graph:
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise InvalidParameters(f"line {line_no}: bad edge ({i}, {j})")
         edges.append((min(i, j), max(i, j)))
+    for line_no, line in enumerate(fh, start=m + 3):
+        if line.strip():
+            raise InvalidParameters(f"line {line_no}: more edge lines than the header's m = {m}")
     edges = tuple(sorted(set(edges)))
     if len(edges) != m:
         raise InvalidParameters("duplicate edges in file")

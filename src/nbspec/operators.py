@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TextIO
 
 import numpy as np
 
 from .graphgen import DegreeStats, Graph
 
 __all__ = [
-    "Linearization",
+    "QepPair",
     "TooLargeError",
     "DegreeTooSmallError",
     "companion",
@@ -20,7 +19,6 @@ __all__ = [
     "build_K",
     "build_K0",
     "bethe_hessian",
-    "write_matrix_csv",
     "DEFAULT_DENSE_CAP",
 ]
 
@@ -35,24 +33,6 @@ class DegreeTooSmallError(ValueError):
     """Construction requires minimum degree >= 2."""
 
 
-@dataclass(frozen=True)
-class Linearization:
-    """A matrix representing the non-backtracking spectrum.
-
-    ``kind`` is one of B, H, H0, K, K0.  For the companion kinds (all but B)
-    ``matrix`` has block shape [[a_block, x_block], [I, 0]]; for B the blocks
-    are absent and ``matrix`` acts on directed edges.
-    """
-
-    kind: str
-    matrix: np.ndarray
-    a_block: Optional[np.ndarray] = None
-    x_block: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
 def companion(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The 2n x 2n companion matrix [[A, X], [I, 0]] of the pencil z^2 I - z A - X."""
     n = a.shape[0]
@@ -63,14 +43,32 @@ def companion(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return m
 
 
-def _companion(kind, a_block, x_block) -> Linearization:
-    return Linearization(
-        kind=kind, matrix=companion(a_block, x_block), a_block=a_block, x_block=x_block
-    )
+@dataclass(frozen=True)
+class QepPair:
+    """Coefficient blocks (A, X) of the pencil z^2 I - z A - X.
+
+    H, H0, K and K0 are all such pencils; ``matrix`` is their 2n x 2n
+    companion linearization, built on each access rather than stored.
+    """
+
+    a_block: np.ndarray
+    x_block: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.a_block, dtype=float)
+        x = np.asarray(self.x_block, dtype=float)
+        if a.shape != x.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("blocks must be square and of equal shape")
+        object.__setattr__(self, "a_block", a)
+        object.__setattr__(self, "x_block", x)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return companion(self.a_block, self.x_block)
 
 
-def build_B(graph: Graph, dense_cap: int = DEFAULT_DENSE_CAP) -> Linearization:
-    """The 2|E| x 2|E| non-backtracking matrix on directed edges.
+def build_B(graph: Graph, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    """The read-only 2|E| x 2|E| 0/1 non-backtracking matrix on directed edges.
 
     Entry ((i,j),(k,l)) is 1 iff j = k and l != i.  Directed edges are
     indexed in lexicographic (i, j) order; any fixed order gives a similar
@@ -84,18 +82,19 @@ def build_B(graph: Graph, dense_cap: int = DEFAULT_DENSE_CAP) -> Linearization:
         )
     darts = np.concatenate((graph.edges, graph.edges[:, ::-1]))
     tail, head = darts[np.lexsort((darts[:, 1], darts[:, 0]))].T
-    b = (head[:, None] == tail[None, :]) & (head[None, :] != tail[:, None])
-    return Linearization(kind="B", matrix=b.astype(float))
+    b = ((head[:, None] == tail[None, :]) & (head[None, :] != tail[:, None])).astype(float)
+    b.setflags(write=False)
+    return b
 
 
-def build_H(graph: Graph) -> Linearization:
-    """The 2n x 2n companion matrix [[A, I-D], [I, 0]] of the pencil z^2 I - z A + D - I."""
+def build_H(graph: Graph) -> QepPair:
+    """The pencil z^2 I - z A + D - I, whose companion is [[A, I-D], [I, 0]]."""
     a = graph.adjacency()
     x = np.eye(graph.n) - np.diag(graph.degrees.astype(float))
-    return _companion("H", a, x)
+    return QepPair(a, x)
 
 
-def build_H0(graph: Graph, stats: DegreeStats) -> Linearization:
+def build_H0(graph: Graph, stats: DegreeStats) -> QepPair:
     """The partial derandomization [[A, -gamma I], [I, 0]] with gamma = alpha - 1.
 
     Its spectrum is the union over eigenvalues lambda of A of the roots of
@@ -105,10 +104,10 @@ def build_H0(graph: Graph, stats: DegreeStats) -> Linearization:
         raise ValueError(f"requires alpha > 1, got alpha = {stats.alpha}")
     a = graph.adjacency()
     x = -stats.gamma * np.eye(graph.n)
-    return _companion("H0", a, x)
+    return QepPair(a, x)
 
 
-def build_K(graph: Graph) -> Linearization:
+def build_K(graph: Graph) -> QepPair:
     """[[ (D-I)^-1 A, -(D-I)^-1 ], [I, 0]]; same spectrum as H^-1.
 
     Requires every degree >= 2 so D - I is safely invertible.
@@ -120,16 +119,16 @@ def build_K(graph: Graph) -> Linearization:
     inv = 1.0 / (graph.degrees.astype(float) - 1.0)
     a = inv[:, None] * graph.adjacency()
     x = -np.diag(inv)
-    return _companion("K", a, x)
+    return QepPair(a, x)
 
 
-def build_K0(graph: Graph, stats: DegreeStats) -> Linearization:
+def build_K0(graph: Graph, stats: DegreeStats) -> QepPair:
     """[[ A/(alpha-1), -I/(alpha-1) ], [I, 0]]; same spectrum as H0^-1."""
     if stats.gamma <= 0:
         raise ValueError(f"requires alpha > 1, got alpha = {stats.alpha}")
     a = graph.adjacency() / stats.gamma
     x = -np.eye(graph.n) / stats.gamma
-    return _companion("K0", a, x)
+    return QepPair(a, x)
 
 
 def bethe_hessian(graph: Graph, r: float) -> np.ndarray:
@@ -143,9 +142,3 @@ def bethe_hessian(graph: Graph, r: float) -> np.ndarray:
     m = (m + m.T) / 2.0  # kill roundoff asymmetry from the subtraction
     m.setflags(write=False)
     return m
-
-
-def write_matrix_csv(m: np.ndarray, fh: TextIO):
-    """Plain CSV, one row per line, for cross-checking with external tools."""
-    for row in np.asarray(m):
-        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

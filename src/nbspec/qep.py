@@ -16,10 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .eig import Spectrum, eigs_general
-from .operators import companion
+from .operators import QepPair
 
 __all__ = [
-    "QepPair",
     "QepBoundReport",
     "NotQepDiagonalizableError",
     "SingularMatrixError",
@@ -39,35 +38,6 @@ class NotQepDiagonalizableError(ValueError):
 
 class SingularMatrixError(ValueError):
     """Condition number requested for a (numerically) singular matrix."""
-
-
-@dataclass(frozen=True)
-class QepPair:
-    """Coefficient blocks (A, X) of the pencil z^2 I - z A - X."""
-
-    a_block: np.ndarray
-    x_block: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a_block, dtype=float)
-        x = np.asarray(self.x_block, dtype=float)
-        if a.shape != x.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("blocks must be square and of equal shape")
-        object.__setattr__(self, "a_block", a)
-        object.__setattr__(self, "x_block", x)
-
-    @property
-    def n(self) -> int:
-        return self.a_block.shape[0]
-
-    def linearization(self) -> np.ndarray:
-        return companion(self.a_block, self.x_block)
-
-    @classmethod
-    def from_linearization(cls, lin) -> "QepPair":
-        if lin.a_block is None or lin.x_block is None:
-            raise ValueError(f"linearization kind {lin.kind} carries no blocks")
-        return cls(lin.a_block, lin.x_block)
 
 
 @dataclass(frozen=True)
@@ -177,9 +147,9 @@ def qep_bound(
     """
     kappa = _codiag_kappa(l0)
     if spec0 is None:
-        spec0 = eigs_general(l0.linearization())
+        spec0 = eigs_general(l0.matrix)
     if spec is None:
-        spec = eigs_general(l.linearization())
+        spec = eigs_general(l.matrix)
     xy = l0.x_block - l.x_block
     ab = l0.a_block - l.a_block
     a_shared = np.abs(ab).max() == 0.0

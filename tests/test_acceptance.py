@@ -24,7 +24,6 @@ from nbspec.eig import eigs_general, eigs_symmetric, match_spectra
 from nbspec.graphgen import complete_graph, er_pool, expected_stats, fig1_params, sample_sbm
 from nbspec.operators import build_B, build_H, build_H0, build_K, build_K0
 from nbspec.qep import (
-    QepPair,
     cluster_certificate,
     condition_number,
     corollary_bound,
@@ -68,12 +67,12 @@ def test_criterion_1_closed_form_spectra():
     w3 = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
     expected3 = [1, 1, w3, w3, w3.conjugate(), w3.conjugate()]
     ok3, gap3 = match_spectra(
-        eigs_general(build_B(complete_graph(3)).matrix).values, expected3, 1e-8
+        eigs_general(build_B(complete_graph(3))).values, expected3, 1e-8
     )
     expected4 = [2, 1, 1, 1, -1, -1]
     expected4 += [complex(-0.5, s * math.sqrt(7) / 2) for s in (1, -1)] * 3
     ok4, gap4 = match_spectra(
-        eigs_general(build_B(complete_graph(4)).matrix).values, expected4, 1e-8
+        eigs_general(build_B(complete_graph(4))).values, expected4, 1e-8
     )
     elapsed = time.time() - t0
     _report(
@@ -196,12 +195,7 @@ def test_criterion_9_insider_existence(fig1_runs):
     k = build_K(g)
     spec0 = eigs_general(k0.matrix)
     spec = eigs_general(k.matrix)
-    report = qep_bound(
-        QepPair.from_linearization(k0),
-        QepPair.from_linearization(k),
-        spec0=spec0,
-        spec=spec,
-    )
+    report = qep_bound(k0, k, spec0=spec0, spec=spec)
     eps = report.epsilon_global
     zeta1 = int(np.argmin(np.abs(spec0.values - 1.0)))
     zeta2 = int(np.argmin(np.abs(spec0.values - stats.beta / stats.alpha)))

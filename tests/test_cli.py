@@ -1,9 +1,25 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 from nbspec.cli import main
+
+
+def _load_bench_workloads():
+    """bench/workloads.py, which builds the command lines the benchmark sends."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _load_bench_workloads()
 
 
 def run(capsys, *argv):
@@ -152,6 +168,30 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--tau", "0.5"],
+        ["verify", "--preset", "k4"],
+        ["bound", "--preset", "k4", "--dense-cap", "10"],
+        ["sample", "--preset", "k4", "--tau", "0.5"],
+    ], ids=["verify-tau", "verify-preset", "bound-dense-cap", "sample-tau"])
+    def test_option_the_command_does_not_take(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset", ["regular:x", "regular:4"])
+    def test_bad_regular_preset(self, tmp_path, capsys, preset):
+        out = tmp_path / "out"
+        code = main(["classify", "--preset", preset, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "regular:d,n" in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["sample", "spectrum", "classify", "bound"])
     @pytest.mark.parametrize("text", [
@@ -180,7 +220,9 @@ class TestBadInput:
         "4 3 0 nan nan\n0011\n0 1\n",  # fewer edge lines than the header's m
         "4 1 0 nan nan\n0011\n0 x\n",  # non-integer vertex
         "4 two 0 nan nan\n0011\n",  # non-integer m
-    ], ids=["short", "bad-vertex", "bad-header"])
+        "4 2 0 nan nan\n0011\n0 1\n2 3\n0 2\n1 3\n",  # more edge lines than the header's m
+        "4 -1 0 nan nan\n0011\n",  # negative m
+    ], ids=["short", "bad-vertex", "bad-header", "extra-lines", "negative-m"])
     def test_malformed_edge_list(self, tmp_path, capsys, text):
         path = tmp_path / "graph.edgelist"
         path.write_text(text)
@@ -247,5 +289,22 @@ class TestVerify:
 
     def test_fault_injection_fails(self, tmp_path, capsys):
         code, out = run(capsys, "verify", "--fault-inject", "--out", str(tmp_path))
+        assert code == 1
+        assert not json.loads(out)["pass"]
+
+
+class TestBenchCommandLines:
+    """The command lines of the benchmark's ops, on its small warm-up graphs."""
+
+    @pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
+    def test_warmup_op_passes_its_check(self, tmp_path, capsys, workload):
+        op = BENCH.WORKLOADS[workload].warmup(1)
+        code, out = run(capsys, *op.argv, "--out", str(tmp_path))
+        assert code == 0
+        assert op.check(code, out, tmp_path) is None
+
+    def test_fault_injected_verify(self, tmp_path, capsys):
+        op = BENCH.verify_op(1, fault_inject=True)
+        code, out = run(capsys, *op.argv, "--out", str(tmp_path))
         assert code == 1
         assert not json.loads(out)["pass"]

@@ -48,11 +48,6 @@ class TestParams:
         with pytest.raises(InvalidParameters):
             SbmParams(n=10, p=p, q=q)
 
-    def test_block_ratio_in_unit_interval(self):
-        params = SbmParams(n=FIG1_N, p=FIG1_P, q=FIG1_Q)
-        assert 0 < params.block_ratio < 1
-        assert params.block_ratio == pytest.approx(0.5)
-
 
 class TestExpectedStats:
     def test_fig1_values(self):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from nbspec.operators import (
     build_H0,
     build_K,
     build_K0,
-    write_matrix_csv,
 )
 
 from conftest import make_graph, path3
@@ -34,20 +32,21 @@ K4_H_SPECTRUM = [2, 1] + [complex(-0.5, s * math.sqrt(7) / 2) for s in (1, -1)] 
 class TestBuildB:
     def test_path_is_nilpotent(self):
         b = build_B(path3())
-        assert b.matrix.shape == (4, 4)
-        assert np.all(np.linalg.matrix_power(b.matrix, 4) == 0)
-        ok, gap = match_spectra(eigs_general(b.matrix).values, [0, 0, 0, 0], 1e-8)
+        assert b.shape == (4, 4)
+        assert not b.flags.writeable
+        assert np.all(np.linalg.matrix_power(b, 4) == 0)
+        ok, gap = match_spectra(eigs_general(b).values, [0, 0, 0, 0], 1e-8)
         assert ok, gap
 
     def test_triangle_spectrum(self):
-        spec = eigs_general(build_B(complete_graph(3)).matrix)
+        spec = eigs_general(build_B(complete_graph(3)))
         w = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
         expected = [1, 1, w, w, w.conjugate(), w.conjugate()]
         ok, gap = match_spectra(spec.values, expected, tolerance=1e-8)
         assert ok, gap
 
     def test_k4_spectrum(self):
-        spec = eigs_general(build_B(complete_graph(4)).matrix)
+        spec = eigs_general(build_B(complete_graph(4)))
         expected = [2, 1, 1, 1, -1, -1]
         expected += [complex(-0.5, s * math.sqrt(7) / 2) for s in (1, -1)] * 3
         ok, gap = match_spectra(spec.values, expected, tolerance=1e-8)
@@ -67,7 +66,7 @@ class TestBuildB:
         for t, (i, j) in enumerate(darts):
             for s, (k, l) in enumerate(darts):
                 expected = 1.0 if j == k and l != i else 0.0
-                assert b.matrix[t, s] == expected
+                assert b[t, s] == expected
 
     def test_dense_cap(self):
         with pytest.raises(TooLargeError):
@@ -78,8 +77,8 @@ class TestBuildB:
         g = make_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
         perm = [3, 5, 0, 2, 4, 1]
         g2 = make_graph(6, [tuple(sorted((perm[i], perm[j]))) for i, j in g.edges])
-        s1 = eigs_general(build_B(g).matrix)
-        s2 = eigs_general(build_B(g2).matrix)
+        s1 = eigs_general(build_B(g))
+        s2 = eigs_general(build_B(g2))
         ok, gap = match_spectra(s1.values, s2.values, tolerance=1e-8)
         assert ok, gap
 
@@ -212,12 +211,3 @@ class TestBetheHessian:
         m = bethe_hessian(g, stats.alpha / stats.beta)
         vals = eigs_symmetric(m).values.real
         assert int(np.count_nonzero(vals < 0)) == 2
-
-
-class TestCsvExport:
-    def test_row_major_plain_text(self):
-        buf = io.StringIO()
-        write_matrix_csv(np.array([[1.5, -2.0], [0.25, 1e-17]]), buf)
-        rows = buf.getvalue().strip().splitlines()
-        assert rows[0] == "1.5,-2"
-        assert float(rows[1].split(",")[1]) == 1e-17

@@ -7,10 +7,9 @@ import pytest
 from nbspec.analysis import check_qep_trials
 from nbspec.eig import Spectrum, eigs_general
 from nbspec.graphgen import complete_graph, degree_concentration
-from nbspec.operators import build_H, build_H0, build_K, build_K0
+from nbspec.operators import QepPair, build_H, build_H0, build_K, build_K0
 from nbspec.qep import (
     NotQepDiagonalizableError,
-    QepPair,
     SingularMatrixError,
     cluster_certificate,
     condition_number,
