@@ -27,6 +27,7 @@ from .qep import (
     cluster_certificate,
     condition_number,
     corollary_bound,
+    perturbation_norms,
     qep_bound,
     spectral_norm,
 )

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Iterator, TextIO, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "Spectrum",
@@ -102,13 +101,13 @@ def eigs_general(m: np.ndarray) -> Spectrum:
     return Spectrum(w)
 
 
-@functools.lru_cache(maxsize=None)
 def _openblas_setters() -> tuple:
-    """``openblas_set_num_threads_local`` of every OpenBLAS mapped into the process.
+    """``openblas_set_num_threads_local`` of every OpenBLAS mapped into the process now.
 
-    numpy and scipy each bundle their own copy; both are loaded once this
-    module is imported.  Empty where ``/proc/self/maps`` does not exist or no
-    loaded OpenBLAS exports the symbol (OpenBLAS < 0.3.27, another BLAS).
+    numpy and scipy each bundle their own copy, and scipy's is mapped only
+    once a scipy module that links it is imported, so the maps are read on
+    each call.  Empty where ``/proc/self/maps`` does not exist or no mapped
+    OpenBLAS exports the symbol (OpenBLAS < 0.3.27, another BLAS).
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -119,6 +118,11 @@ def _openblas_setters() -> tuple:
     paths = dict.fromkeys(
         f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()
     )
+    return _setters_of(tuple(paths))
+
+
+@functools.lru_cache(maxsize=None)
+def _setters_of(paths: tuple) -> tuple:
     setters = []
     for path in paths:
         try:
@@ -221,6 +225,8 @@ def match_spectra(s0, s1, tolerance: float = 1e-8) -> Tuple[bool, float]:
     worst = float(_greedy_match(a, b).max())
     if worst <= tolerance:
         return True, worst
+    from scipy.optimize import linear_sum_assignment  # importing it would dominate `import nbspec`
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     worst = float(cost[rows, cols].max())

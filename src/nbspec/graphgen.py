@@ -235,7 +235,7 @@ def read_edge_list(fh: TextIO) -> Graph:
     if len(label_line) != n or set(label_line) - {"0", "1"}:
         raise InvalidParameters("line 2: label line must be n characters of 0/1")
     labels = np.array([int(c) for c in label_line], dtype=np.int8)
-    edges = []
+    edges = set()
     for line_no in range(3, m + 3):
         try:
             i, j = map(int, fh.readline().split())
@@ -245,11 +245,11 @@ def read_edge_list(fh: TextIO) -> Graph:
             ) from None
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise InvalidParameters(f"line {line_no}: bad edge ({i}, {j})")
-        edges.append((min(i, j), max(i, j)))
+        edge = (min(i, j), max(i, j))
+        if edge in edges:
+            raise InvalidParameters(f"line {line_no}: duplicate edge {edge}")
+        edges.add(edge)
     for line_no, line in enumerate(fh, start=m + 3):
         if line.strip():
             raise InvalidParameters(f"line {line_no}: more edge lines than the header's m = {m}")
-    edges = tuple(sorted(set(edges)))
-    if len(edges) != m:
-        raise InvalidParameters("duplicate edges in file")
-    return Graph(n=n, edges=np.array(edges, dtype=np.int64), labels=labels)
+    return Graph(n=n, edges=np.array(sorted(edges), dtype=np.int64), labels=labels)

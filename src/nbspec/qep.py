@@ -22,6 +22,7 @@ __all__ = [
     "QepBoundReport",
     "NotQepDiagonalizableError",
     "SingularMatrixError",
+    "perturbation_norms",
     "spectral_norm",
     "condition_number",
     "qep_bound",
@@ -68,29 +69,78 @@ class QepBoundReport:
         return json.dumps(doc, indent=2)
 
 
-def spectral_norm(m: np.ndarray, tol: float = 1e-9, max_iter: int = 10000) -> float:
-    """Largest singular value by power iteration on M^H M.
+def _abs_norm_bound(m: np.ndarray) -> float:
+    """An upper bound on ||abs(m)||_2: the smaller of ||m||_F and sqrt(||m||_1 ||m||_inf)."""
+    a = np.abs(m)
+    return float(min(np.sqrt((a * a).sum()), np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())))
 
-    Deterministic all-ones start vector for reproducibility.  Handles real
-    and complex inputs.
+
+def perturbation_norms(x_diff: np.ndarray, a_diff: np.ndarray, mus) -> np.ndarray:
+    """Upper bounds on ||E(mu)||_2 for E(mu) = x_diff + mu a_diff, real blocks, every mu.
+
+    For real blocks E E^H = P + Re(mu) S + |mu|^2 R + i Im(mu) T with
+    P = Xd Xd^T, C = Ad Xd^T, S = C + C^T, T = C - C^T and R = Ad Ad^T, so
+    ||E(mu)||^2 = lambda_max(G(mu)).  Only the nonzero terms are formed, and
+    G depends on mu only through (Re mu, |mu|^2, |Im mu|) restricted to them:
+    a conjugate pair shares one eigensolve, and Ad = 0 needs one in all.
+
+    Rounding allowance.  Let u be the unit roundoff, gamma_k = k u / (1 - k u),
+    n the larger dimension, f >= ||abs(Xd)||_2, g >= ||abs(Ad)||_2 (from
+    ``_abs_norm_bound``) and h = f + sqrt(2) |mu| g.  Every matrix formed is
+    bounded entrywise by |Xd||Xd|^T, |Ad||Xd|^T, |Xd||Ad|^T or |Ad||Ad|^T, so
+    with |Re mu| + |Im mu| <= sqrt(2) |mu| the errors against the exact Gram
+    matrix G of the exact E are at most:
+      - gamma_3 h^2 from rounding the differences X0 - X and A0 - A;
+      - gamma_(n+1) h^2 from the length-n inner products and S, T;
+      - gamma_6 h^2 from scaling by Re mu, |mu|^2, Im mu and summing.
+    So the computed G^ has ||G^ - G||_2 <= gamma_(n+10) h^2 =: F.  ``eigvalsh``
+    returns lambda^ with |lambda^ - lambda_max(G^)| <= p(n) u ||G^||_2, taking
+    p(n) = n for LAPACK's "modestly growing function".  G is positive
+    semidefinite, so lambda_min(G^) >= -F and ||G^||_2 <= (|lambda^| + F) / (1 - n u).
+    Together ||E||^2 <= lambda^ + gamma_(n+10) h^2 + gamma_n (|lambda^| + F), which
+    gamma_(n+12) (h^2 + |lambda^|) covers; the two spare units absorb the
+    second-order terms and the rounding in evaluating the allowance and the
+    square roots.  Relative to ||E||, the bound is high by about
+    (n + 12) u (1 + h^2 / ||E||^2) / 2.
     """
-    m = np.asarray(m)
-    n = m.shape[1]
+    x_diff = np.asarray(x_diff, dtype=float)
+    a_diff = np.asarray(a_diff, dtype=float)
+    mus = np.asarray(mus, dtype=complex).ravel()
+    n = max(x_diff.shape)
     if n == 0:
-        return 0.0
-    v = np.ones(n, dtype=m.dtype) / np.sqrt(n)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = m.conj().T @ (m @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        sigma = np.sqrt(norm)
-        if abs(sigma - prev) <= tol * max(sigma, 1.0):
-            return float(sigma)
-        prev = sigma
-    return float(prev)
+        return np.zeros(mus.size)
+    p = x_diff @ x_diff.T
+    f = _abs_norm_bound(x_diff)
+    g = 0.0
+    terms = []  # (coefficient per mu, matrix, unit)
+    if a_diff.any():
+        c = a_diff @ x_diff.T
+        g = _abs_norm_bound(a_diff)
+        terms = [
+            (mus.real, c + c.T, 1.0),
+            (mus.real ** 2 + mus.imag ** 2, a_diff @ a_diff.T, 1.0),
+            (np.abs(mus.imag), c - c.T, 1j),
+        ]
+        terms = [term for term in terms if term[1].any()]
+    keys = np.column_stack([coef for coef, _, _ in terms] or [np.zeros(mus.size)])
+    top = {}
+    for key in map(tuple, keys):
+        if key not in top:
+            gram = p
+            for coef, (_, m, unit) in zip(key, terms):
+                gram = gram + (coef * unit) * m
+            top[key] = np.linalg.eigvalsh(gram)[-1]
+    lam = np.array([top[key] for key in map(tuple, keys)], dtype=float)
+    u = np.finfo(float).eps / 2
+    gamma = (n + 12) * u / (1 - (n + 12) * u)
+    h = f + np.sqrt(2.0) * np.abs(mus) * g
+    return np.sqrt(np.maximum(lam + gamma * (h * h + np.abs(lam)), 0.0))
+
+
+def spectral_norm(m: np.ndarray) -> float:
+    """An upper bound on ||m||_2 of a real matrix: ``perturbation_norms`` with Ad = 0."""
+    m = np.asarray(m, dtype=float)
+    return float(perturbation_norms(m, np.zeros_like(m), [0.0])[0])
 
 
 def condition_number(p: np.ndarray) -> float:
@@ -142,23 +192,19 @@ def qep_bound(
     """Per-eigenvalue radii eps(mu) and nearest-reference matching.
 
     Precomputed spectra of the linearizations may be passed to avoid repeated
-    eigensolves.  When the A blocks coincide the norm is mu-independent and
-    computed once.
+    eigensolves.  Every radius is an upper bound on the theorem's, from
+    ``perturbation_norms``: one symmetric eigensolve per conjugate class of
+    mu, and one in all when the A blocks coincide.
     """
     kappa = _codiag_kappa(l0)
     if spec0 is None:
         spec0 = eigs_general(l0.matrix)
     if spec is None:
         spec = eigs_general(l.matrix)
-    xy = l0.x_block - l.x_block
-    ab = l0.a_block - l.a_block
-    a_shared = np.abs(ab).max() == 0.0
-    const_norm = spectral_norm(xy) if a_shared else None
-
+    norms = perturbation_norms(l0.x_block - l.x_block, l0.a_block - l.a_block, spec.values)
     nus = spec0.values
     per_mu = []
-    for mu in spec.values:
-        norm = const_norm if a_shared else spectral_norm(xy + mu * ab)
+    for mu, norm in zip(spec.values, norms):
         eps = float(np.sqrt(kappa) * np.sqrt(norm))
         gaps = np.abs(nus - mu)
         k = int(gaps.argmin())

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import math
 import sys
@@ -216,20 +217,21 @@ class TestBadInput:
         assert code == 2
         assert err.startswith(f"error: cannot read {path}") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("text", [
-        "4 3 0 nan nan\n0011\n0 1\n",  # fewer edge lines than the header's m
-        "4 1 0 nan nan\n0011\n0 x\n",  # non-integer vertex
-        "4 two 0 nan nan\n0011\n",  # non-integer m
-        "4 2 0 nan nan\n0011\n0 1\n2 3\n0 2\n1 3\n",  # more edge lines than the header's m
-        "4 -1 0 nan nan\n0011\n",  # negative m
-    ], ids=["short", "bad-vertex", "bad-header", "extra-lines", "negative-m"])
-    def test_malformed_edge_list(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, expected", [
+        ("4 3 0 nan nan\n0011\n0 1\n", "error: line 4: "),  # fewer edge lines than m
+        ("4 1 0 nan nan\n0011\n0 x\n", "error: line 3: "),  # non-integer vertex
+        ("4 two 0 nan nan\n0011\n", "error: line 1: "),  # non-integer m
+        ("4 2 0 nan nan\n0011\n0 1\n2 3\n0 2\n1 3\n", "error: line 5: "),  # more lines than m
+        ("4 -1 0 nan nan\n0011\n", "error: line 1: "),  # negative m
+        ("4 2 0 nan nan\n0011\n0 1\n1 0\n", "error: line 4: duplicate edge (0, 1)\n"),
+    ], ids=["short", "bad-vertex", "bad-header", "extra-lines", "negative-m", "duplicate"])
+    def test_malformed_edge_list(self, tmp_path, capsys, text, expected):
         path = tmp_path / "graph.edgelist"
         path.write_text(text)
         code = main(["spectrum", "--input", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: line ") and err.count("\n") == 1
+        assert err.startswith(expected) and err.count("\n") == 1
 
 
 class TestBound:
@@ -293,6 +295,22 @@ class TestVerify:
         assert not json.loads(out)["pass"]
 
 
+def test_bench_per_layer_names_are_public_functions():
+    """Every ``<module>.<function>`` a traced bench run reports is a public function."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    checked = 0
+    for entry in doc["per_layer"]:
+        name = entry["name"]
+        if name.startswith(("cli.", "trace.", "graphgen.Graph.adjacency.")):
+            continue
+        module_name, function, _metric = name.split(".")
+        module = importlib.import_module(f"nbspec.{module_name}")
+        assert function in module.__all__, name
+        assert inspect.isfunction(getattr(module, function)), name
+        checked += 1
+    assert checked > 0
+
+
 class TestBenchCommandLines:
     """The command lines of the benchmark's ops, on its small warm-up graphs."""
 
@@ -308,3 +326,19 @@ class TestBenchCommandLines:
         code, out = run(capsys, *op.argv, "--out", str(tmp_path))
         assert code == 1
         assert not json.loads(out)["pass"]
+
+
+def test_bench_per_layer_names_are_public_functions():
+    """Every ``<module>.<function>`` a traced bench run reports is a public function."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    checked = 0
+    for entry in doc["per_layer"]:
+        name = entry["name"]
+        if name.startswith(("cli.", "trace.", "graphgen.Graph.adjacency.")):
+            continue
+        module_name, function, _metric = name.split(".")
+        module = importlib.import_module(f"nbspec.{module_name}")
+        assert function in module.__all__, name
+        assert inspect.isfunction(getattr(module, function)), name
+        checked += 1
+    assert checked > 0

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +203,33 @@ class TestSingleBlasThread:
         assert pinned
         assert inside == [1] * len(setters)
         assert after == [2] * len(setters)
+
+    def test_setters_follow_libraries_mapped_later(self):
+        # scipy.linalg maps scipy's own OpenBLAS after nbspec is imported
+        script = """
+import ctypes
+from nbspec import eig
+eig._openblas_setters()
+import scipy.linalg
+paths = {line.split(maxsplit=5)[5].strip() for line in open("/proc/self/maps")
+         if "openblas" in line.lower() and len(line.split(maxsplit=5)) == 6}
+exporting = [p for p in paths if hasattr(ctypes.CDLL(p), "openblas_set_num_threads_local")]
+print(len(eig._openblas_setters()), len(exporting))
+"""
+        if not Path("/proc/self/maps").exists():
+            pytest.skip("no /proc/self/maps")
+        setters, exporting = _run_python(script).split()
+        assert setters == exporting
+
+
+def _run_python(script: str) -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    return proc.stdout
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    out = _run_python("import sys, nbspec.cli; print('scipy.optimize' in sys.modules)")
+    assert out.strip() == "False"

@@ -6,7 +6,14 @@ import pytest
 
 from nbspec.analysis import check_qep_trials
 from nbspec.eig import Spectrum, eigs_general
-from nbspec.graphgen import complete_graph, degree_concentration
+from nbspec.graphgen import (
+    SbmParams,
+    complete_graph,
+    degree_concentration,
+    expected_stats,
+    fig1_params,
+    sample_sbm,
+)
 from nbspec.operators import QepPair, build_H, build_H0, build_K, build_K0
 from nbspec.qep import (
     NotQepDiagonalizableError,
@@ -14,6 +21,7 @@ from nbspec.qep import (
     cluster_certificate,
     condition_number,
     corollary_bound,
+    perturbation_norms,
     qep_bound,
     spectral_norm,
 )
@@ -38,11 +46,25 @@ class TestSpectralNorm:
         for _ in range(10):
             m = rng.standard_normal((12, 12))
             assert spectral_norm(m) == pytest.approx(
-                np.linalg.norm(m, 2), rel=1e-7
+                np.linalg.norm(m, 2), rel=1e-12
             )
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+    def test_start_vector_in_null_space(self):
+        # power iteration from the all-ones vector returned 0.0 here
+        norm = spectral_norm(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert norm >= 2.0
+        assert norm == pytest.approx(2.0, rel=1e-12)
+
+    def test_top_singular_vector_orthogonal_to_ones(self):
+        # power iteration from the all-ones vector returned 0.01 here
+        n = 50
+        v = np.where(np.arange(n) % 2, -1.0, 1.0)
+        norm = spectral_norm(np.outer(v, v) / n + 0.01 * np.eye(n))
+        assert norm >= 1.01
+        assert norm == pytest.approx(1.01, rel=1e-12)
 
 
 class TestConditionNumber:
@@ -161,6 +183,102 @@ class TestQepBound:
         assert doc["kappa"] == report.kappa
         assert doc["epsilon_global"] == report.epsilon_global
         assert len(doc["per_mu"]) == len(report.per_mu)
+
+
+def _lapack_radii(l0, l1, report):
+    """The radii of ``report`` recomputed with LAPACK's 2-norm of each E(mu)."""
+    xd = l0.x_block - l1.x_block
+    ad = l0.a_block - l1.a_block
+    if ad.any():
+        norms = [np.linalg.norm(xd + mu * ad, 2) for mu, _, _, _ in report.per_mu]
+    else:  # E does not depend on mu
+        norms = [np.linalg.norm(xd, 2)] * len(report.per_mu)
+    return math.sqrt(report.kappa) * np.sqrt(norms)
+
+
+def _random_pencils(rng, n):
+    """(A, -cI) against a pencil whose A and X blocks are both generic; most mu are complex."""
+    a = rng.uniform(-1, 1, (n, n))
+    a = (a + a.T) / 2
+    x = -rng.uniform(0.5, 2.0) * np.eye(n)
+    l1 = QepPair(a + 0.1 * rng.uniform(-1, 1, (n, n)), x + 0.1 * rng.uniform(-1, 1, (n, n)))
+    return QepPair(a, x), l1
+
+
+def _k_pencils():
+    params = SbmParams(n=100, p=0.28, q=0.1, seed=300007)
+    g = sample_sbm(params)
+    return build_K0(g, expected_stats(params)), build_K(g)
+
+
+def _h_pencils():
+    params = fig1_params("right", n=400)
+    g = sample_sbm(params)
+    return build_H0(g, expected_stats(params)), build_H(g)
+
+
+class TestRadiiSoundness:
+    """Every radius is at least the theorem's and at most 1e-12 relative above it."""
+
+    def _assert_sound_and_tight(self, l0, l1):
+        report = qep_bound(l0, l1)
+        radii = np.array([eps for _, eps, _, _ in report.per_mu])
+        exact = _lapack_radii(l0, l1, report)
+        assert np.all(radii >= exact)
+        assert np.all(radii <= exact * (1 + 1e-12))
+
+    def test_k_pencil(self):
+        self._assert_sound_and_tight(*_k_pencils())
+
+    def test_h_pencil(self):
+        self._assert_sound_and_tight(*_h_pencils())
+
+    def test_random_pencils_with_generic_a_difference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            self._assert_sound_and_tight(*_random_pencils(rng, int(rng.integers(2, 13))))
+
+    def test_conjugates_share_a_radius(self):
+        rng = np.random.default_rng(12)
+        for l0, l1 in [_k_pencils(), _random_pencils(rng, 9)]:
+            radius = {complex(mu): eps for mu, eps, _, _ in qep_bound(l0, l1).per_mu}
+            assert any(mu.imag != 0 for mu in radius)
+            for mu, eps in radius.items():
+                assert radius[mu.conjugate()] == eps
+
+
+class TestPerturbationNorms:
+    def _count_solves(self, monkeypatch, *args):
+        calls = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or solve(m))
+        perturbation_norms(*args)
+        return len(calls)
+
+    def test_one_solve_per_conjugate_class(self, monkeypatch):
+        l0, l1 = _k_pencils()
+        mus = eigs_general(l1.matrix).values
+        solves = self._count_solves(
+            monkeypatch, l0.x_block - l1.x_block, l0.a_block - l1.a_block, mus
+        )
+        assert solves == len({(mu.real, abs(mu.imag)) for mu in mus})
+        assert solves < len(mus)
+
+    def test_one_solve_when_a_blocks_agree(self, monkeypatch):
+        l0, l1 = _h_pencils()
+        mus = np.array([0.5, 1 + 2j, 1 - 2j, -3.0])
+        solves = self._count_solves(monkeypatch, l0.x_block - l1.x_block, np.zeros((400, 400)), mus)
+        assert solves == 1
+
+    def test_complex_hermitian_path_matches_lapack(self):
+        rng = np.random.default_rng(13)
+        xd = rng.standard_normal((7, 7))
+        ad = rng.standard_normal((7, 7))  # Ad Xd^T is not symmetric
+        mus = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        norms = perturbation_norms(xd, ad, mus)
+        exact = np.array([np.linalg.norm(xd + mu * ad, 2) for mu in mus])
+        assert np.all(norms >= exact)
+        assert np.all(norms <= exact * (1 + 1e-12))
 
 
 class TestClusterCertificate:
