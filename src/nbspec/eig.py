@@ -1,8 +1,7 @@
-"""Dense eigensolvers, the scalar quadratic-root kernel, and spectrum matching."""
+"""Dense eigensolvers, the vectorized quadratic-root kernel, and spectrum matching."""
 
 from __future__ import annotations
 
-import cmath
 import ctypes
 import functools
 import threading
@@ -77,7 +76,7 @@ def eigs_symmetric(m: np.ndarray, with_vectors: bool = False):
     if with_vectors:
         w, v = np.linalg.eigh(m)
         return Spectrum(w), v
-    return Spectrum(np.linalg.eigh(m)[0])
+    return Spectrum(np.linalg.eigvalsh(m))
 
 
 def eigs_general(m: np.ndarray) -> Spectrum:
@@ -158,43 +157,28 @@ def single_blas_thread() -> Iterator[bool]:
                 set_threads(count)
 
 
-def quadratic_roots(a, x) -> Tuple[complex, complex]:
-    """The two roots of z^2 - a z - x = 0.
+def quadratic_roots(a, x) -> Tuple[np.ndarray, np.ndarray]:
+    """The two roots (r1, r2) of z^2 - a z - x = 0, elementwise over real arrays.
 
-    Real discriminant a^2 + 4x >= 0: roots are returned descending by real
-    part, computed with the cancellation-free variant (larger-magnitude root
-    from the formula, the other from the product identity root1*root2 = -x).
-    Negative discriminant: the conjugate pair, imaginary-positive first.
+    ``a`` and ``x`` broadcast against each other; each root comes back as a
+    complex array of the broadcast shape (a complex scalar for scalar input).
+    Real discriminant a^2 + 4x >= 0: r1 >= r2, computed with the
+    cancellation-free variant (larger-magnitude root from the formula, the
+    other from the product identity r1 r2 = -x).  Negative discriminant: the
+    conjugate pair, imaginary-positive first.  a = x = 0 gives (0, 0).
     """
-    a = complex(a)
-    x = complex(x)
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
     disc = a * a + 4.0 * x
-    if disc.imag == 0.0 and a.imag == 0.0 and x.imag == 0.0:
-        d = disc.real
-        if d >= 0.0:
-            s = np.sqrt(d)
-            if a.real >= 0.0:
-                big = (a.real + s) / 2.0
-            else:
-                big = (a.real - s) / 2.0
-            if big == 0.0:  # a = x = 0
-                return (0j, 0j)
-            other = -x.real / big
-            r1, r2 = (big, other) if big >= other else (other, big)
-            return (complex(r1), complex(r2))
-        s = np.sqrt(-d) / 2.0
-        return (complex(a.real / 2.0, s), complex(a.real / 2.0, -s))
-    # complex coefficients: direct formula with sign-stable branch
-    sq = cmath.sqrt(disc)
-    if (a.conjugate() * sq).real < 0:
-        sq = -sq
-    big = (a + sq) / 2.0
-    if big == 0:
-        return (0j, 0j)
-    other = -x / big
-    if (big.imag, big.real) >= (other.imag, other.real):
-        return (big, other)
-    return (other, big)
+    real = disc >= 0.0
+    s = np.sqrt(np.abs(disc))
+    big = np.where(a >= 0.0, (a + s) / 2.0, (a - s) / 2.0)
+    zero = big == 0.0  # a = x = 0
+    other = np.where(zero, 0.0, -x / np.where(zero, 1.0, big))
+    r1 = np.where(real, np.maximum(big, other), a / 2.0).astype(complex)
+    r2 = np.where(real, np.minimum(big, other), a / 2.0).astype(complex)
+    r1.imag = np.where(real, 0.0, s / 2.0)
+    r2.imag = np.where(real, 0.0, -s / 2.0)
+    return r1[()], r2[()]
 
 
 def _greedy_match(a: np.ndarray, b: np.ndarray) -> np.ndarray:

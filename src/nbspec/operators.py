@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eig import Spectrum, eigs_general, eigs_symmetric, quadratic_roots
 from .graphgen import DegreeStats, Graph
 
 __all__ = [
@@ -48,7 +49,8 @@ class QepPair:
     """Coefficient blocks (A, X) of the pencil z^2 I - z A - X.
 
     H, H0, K and K0 are all such pencils; ``matrix`` is their 2n x 2n
-    companion linearization, built on each access rather than stored.
+    companion linearization, built on each access rather than stored, and
+    ``spectrum()`` its eigenvalues.
     """
 
     a_block: np.ndarray
@@ -65,6 +67,38 @@ class QepPair:
     @property
     def matrix(self) -> np.ndarray:
         return companion(self.a_block, self.x_block)
+
+    @property
+    def a_symmetric(self) -> bool:
+        """Whether A = A^T within 1e-12 relative, the tolerance of ``eigs_symmetric``."""
+        a = self.a_block
+        return bool(np.abs(a - a.T).max() <= 1e-12 * np.abs(a).max())
+
+    @property
+    def symmetric_scalar(self) -> bool:
+        """Whether A is symmetric and X = cI (within 1e-12 relative to max(|c|, 1)).
+
+        Such blocks co-diagonalize orthogonally, so kappa(P) = 1, and the
+        spectrum is the roots of z^2 - lambda z - c over lambda in Spec(A).
+        """
+        x = self.x_block
+        c = x[0, 0]
+        scalar = np.abs(x - c * np.eye(x.shape[0])).max() <= 1e-12 * max(abs(c), 1.0)
+        return bool(scalar) and self.a_symmetric
+
+    def spectrum(self) -> Spectrum:
+        """The 2n eigenvalues of ``matrix``.
+
+        For ``symmetric_scalar`` blocks they come in closed form from one
+        symmetric eigensolve of A: the two roots of z^2 - lambda z - c for
+        each lambda, ascending in lambda.  Otherwise from a dense
+        eigensolve of the companion matrix.
+        """
+        if not self.symmetric_scalar:
+            return eigs_general(self.matrix)
+        lam = eigs_symmetric(self.a_block).values.real
+        r1, r2 = quadratic_roots(lam, self.x_block[0, 0])
+        return Spectrum(np.column_stack((r1, r2)).ravel())
 
 
 def build_B(graph: Graph, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eig import Spectrum, eigs_general
+from .eig import Spectrum
 from .operators import QepPair
 
 __all__ = [
@@ -151,28 +151,22 @@ def condition_number(p: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def _is_scalar_matrix(x: np.ndarray) -> bool:
-    c = x[0, 0]
-    return bool(np.abs(x - c * np.eye(x.shape[0])).max() <= 1e-12 * max(abs(c), 1.0))
-
-
 def _codiag_kappa(pair: QepPair) -> float:
     """kappa(P) of a co-diagonalizer of (A, X), or raise if there is none.
 
     Symmetric A with scalar X co-diagonalize orthogonally: kappa = 1 exactly.
     Otherwise commutation is required and P comes from diagonalizing A.
     """
-    a, x = pair.a_block, pair.x_block
-    sym = np.abs(a - a.T).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
-    if sym and _is_scalar_matrix(x):
+    if pair.symmetric_scalar:
         return 1.0
+    a, x = pair.a_block, pair.x_block
     comm = np.linalg.norm(a @ x - x @ a)
     gate = COMMUTATION_RTOL * max(np.linalg.norm(a) * np.linalg.norm(x), 1e-300)
     if comm > gate:
         raise NotQepDiagonalizableError(
             f"blocks do not commute: ||AX - XA||_F = {comm:.3e} > {gate:.3e}"
         )
-    if sym:
+    if pair.a_symmetric:
         return 1.0
     w, p = np.linalg.eig(a)
     # eig may return defective-looking P for repeated eigenvalues; the
@@ -192,15 +186,17 @@ def qep_bound(
     """Per-eigenvalue radii eps(mu) and nearest-reference matching.
 
     Precomputed spectra of the linearizations may be passed to avoid repeated
-    eigensolves.  Every radius is an upper bound on the theorem's, from
-    ``perturbation_norms``: one symmetric eigensolve per conjugate class of
-    mu, and one in all when the A blocks coincide.
+    eigensolves; otherwise both come from ``QepPair.spectrum``, so a pencil
+    identical to the reference (H of a regular graph against H0) takes the
+    same path and matches it exactly.  Every radius is an upper bound on the
+    theorem's, from ``perturbation_norms``: one symmetric eigensolve per
+    conjugate class of mu, and one in all when the A blocks coincide.
     """
     kappa = _codiag_kappa(l0)
     if spec0 is None:
-        spec0 = eigs_general(l0.matrix)
+        spec0 = l0.spectrum()
     if spec is None:
-        spec = eigs_general(l.matrix)
+        spec = l.spectrum()
     norms = perturbation_norms(l0.x_block - l.x_block, l0.a_block - l.a_block, spec.values)
     nus = spec0.values
     per_mu = []

@@ -148,6 +148,15 @@ class TestIharaBass:
         assert not ok and gap > 1e-6
 
 
+    def test_clusters_link_through_chains(self):
+        # 0 - 0.9e-3 - 1.8e-3 - 2.7e-3 is one single-linkage cluster at 1e-3
+        # with two points from each side, and 5 + 5i a second one
+        a = np.array([0.0, 0.9e-3, 5 + 5j])
+        b = np.array([1.8e-3, 2.7e-3, 5 + 5j])
+        assert analysis._centroid_gap(a, b) == pytest.approx(1.8e-3, rel=1e-12)
+        assert analysis._centroid_gap(a[:2], np.array([1.8e-3, 5.0])) is None
+
+
 DEFECTIVE_POOL = er_pool(10, n=16, p=0.4, start_seed=10300000)
 
 
@@ -210,7 +219,7 @@ class TestSemicircle:
         # H0 real parts are the adjacency eigenvalues halved, two copies each
         g, stats = fig1_instance
         spec_a = eigs_symmetric(g.adjacency())
-        spec_h0 = eigs_general(build_H0(g, stats).matrix)
+        spec_h0 = build_H0(g, stats).spectrum()
         esd_a = semicircle_ks(spec_a, "A-spectrum", stats)
         esd_h = semicircle_ks(spec_h0, "H-real-parts", stats)
         assert esd_h.radius == 1.0

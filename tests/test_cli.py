@@ -2,6 +2,8 @@ import importlib.util
 import inspect
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -243,6 +245,17 @@ class TestBound:
         assert doc["epsilon_global"] == pytest.approx(0.0, abs=1e-12)
         assert doc["all_within_bound"]
 
+    @pytest.mark.parametrize("pair", ["H", "K"])
+    @pytest.mark.parametrize("preset", ["k4", "regular:4,10", "regular:2,10"])
+    def test_regular_graph_matches_its_reference_exactly(self, tmp_path, capsys, preset, pair):
+        # on a regular graph the pencil equals its reference (H = H0, K = K0),
+        # so both spectra must come from the same solver: two solvers disagree
+        # by up to 2e-8 at the double roots of regular:2,10, past a zero radius
+        code, _ = run(capsys, "bound", "--preset", preset, "--pair", pair, "--out", str(tmp_path))
+        assert code == 0
+        report = json.loads((tmp_path / f"bound_{pair}.json").read_text())
+        assert [row["distance"] for row in report["per_mu"]] == [0.0] * len(report["per_mu"])
+
     def test_h_pair_on_sbm(self, tmp_path, capsys):
         code, out = run(capsys, "bound", "--n", "60", "--p", "0.6", "--q", "0.3",
                         "--seed", "2", "--pair", "H", "--out", str(tmp_path))
@@ -293,6 +306,22 @@ class TestVerify:
         code, out = run(capsys, "verify", "--fault-inject", "--out", str(tmp_path))
         assert code == 1
         assert not json.loads(out)["pass"]
+
+    def test_ihara_bass_fallback_loads_no_scipy(self, tmp_path):
+        # at seed 700111 one graph misses the root match, so the fallback runs
+        script = (
+            "import sys; from nbspec.cli import main; "
+            f"rc = main(['verify', '--seed', '700111', '--out', {str(tmp_path)!r}]); "
+            "print(rc, 'scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules, "
+            "file=sys.stderr)"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        doc = json.loads(proc.stdout)
+        assert doc["pass"] and doc["results"]["ihara-bass"]["status"] == "pass"
+        assert proc.stderr.split() == ["0", "False", "False"]
 
 
 def test_bench_per_layer_names_are_public_functions():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nbspec import eig
+from nbspec import eig, operators
 from nbspec.eig import (
     NotSymmetricError,
     Spectrum,
@@ -19,8 +19,16 @@ from nbspec.eig import (
     quadratic_roots,
     single_blas_thread,
 )
-from nbspec.operators import build_H, build_H0
-from nbspec.graphgen import DegreeStats, SbmParams, complete_graph, expected_stats, sample_sbm
+from nbspec.operators import QepPair, build_H, build_H0, build_K, build_K0
+from nbspec.graphgen import (
+    DegreeStats,
+    SbmParams,
+    circulant,
+    complete_graph,
+    expected_stats,
+    fig1_params,
+    sample_sbm,
+)
 
 
 class TestSymmetric:
@@ -133,6 +141,35 @@ class TestQuadraticRoots:
             scale = max(abs(r) ** 2, 1.0)
             assert abs(r * r - a * r - x) <= 1e-9 * scale
 
+    def test_array_input_matches_scalar_calls(self):
+        # discriminant exactly 0 (a = +-2, x = -1), a = x = 0, then mixed
+        # real and complex roots; x = -1 broadcasts against a as a scalar
+        a = np.array([2.0, -2.0, 0.0, 3.0, 1.0, -5.0, 0.5])
+        x = np.array([-1.0, -1.0, 0.0, -2.0, -1.0, 1.0, -4.0])
+        r1, r2 = quadratic_roots(a, x)
+        assert r1.dtype == r2.dtype == complex and r1.shape == r2.shape == a.shape
+        for i in range(a.size):
+            assert (r1[i], r2[i]) == quadratic_roots(a[i], x[i])
+        assert (r1[0], r2[0]) == (1, 1) and (r1[1], r2[1]) == (-1, -1)
+        assert (r1[2], r2[2]) == (0, 0)
+        assert np.all(r1.imag[[3, 5]] == 0) and np.all(r1.real[[3, 5]] > r2.real[[3, 5]])
+        assert np.all(r1.imag[[4, 6]] > 0) and np.array_equal(r2[[4, 6]], r1[[4, 6]].conj())
+        b1, b2 = quadratic_roots(a[:, None], np.array([-1.0, 0.0]))
+        assert b1.shape == (a.size, 2)
+        assert np.array_equal(b1[:, 0], quadratic_roots(a, -1.0)[0])
+        assert np.array_equal(b2[:, 1], quadratic_roots(a, 0.0)[1])
+
+
+def _closed_form_cases():
+    """(name, graph, stats) on which H0 and K0 are checked against the dense companion."""
+    fig1 = fig1_params("right", n=400)
+    n30 = SbmParams(n=30, p=0.6, q=0.3, seed=4)
+    return [
+        ("fig1-right-n400", sample_sbm(fig1), expected_stats(fig1)),
+        ("sbm-n30", sample_sbm(n30), expected_stats(n30)),
+        ("k4", complete_graph(4), DegreeStats(alpha=3.0, beta=None, gamma=2.0)),
+    ]
+
 
 class TestH0ClosedForm:
     def test_spectrum_is_union_of_quadratic_roots(self):
@@ -155,6 +192,54 @@ class TestH0ClosedForm:
         complex_vals = spec.values[np.abs(spec.values.imag) > 1e-8]
         assert complex_vals.size > 0
         assert np.allclose(np.abs(complex_vals), math.sqrt(stats.gamma), atol=1e-8)
+
+    @pytest.mark.parametrize("case", _closed_form_cases(), ids=lambda case: case[0])
+    def test_spectrum_matches_dense_companion(self, case, monkeypatch):
+        _, g, stats = case
+        pairs = [build_H0(g, stats), build_K0(g, stats)]
+        dense = [eigs_general(pair.matrix) for pair in pairs]
+        monkeypatch.setattr(operators, "eigs_general", None)  # the closed form needs none
+        for pair, reference in zip(pairs, dense):
+            closed = pair.spectrum()
+            assert len(closed) == 2 * g.n
+            ok, gap = match_spectra(closed, reference, tolerance=1e-10)
+            assert ok, gap
+
+    def test_double_roots_of_the_cycle(self):
+        # regular:2,10 is the cycle C10 with gamma = 1: its adjacency
+        # eigenvalues +-2 = +-2 sqrt(gamma) give the double roots +-1.  A dense
+        # eigensolve is good to about sqrt(u) there, splitting each into a
+        # pair 2e-8 apart, but the pair's centroid is good to O(u)
+        g = circulant(10, [1])
+        stats = DegreeStats(alpha=2.0, beta=None, gamma=1.0)
+        for build in (build_H0, build_K0):
+            pair = build(g, stats)
+            closed = pair.spectrum().values
+            dense = eigs_general(pair.matrix).values
+            ok, gap = match_spectra(closed, dense, tolerance=1e-7)
+            assert ok, gap
+            for root in (1.0, -1.0):
+                near_closed = closed[np.abs(closed - root) < 1e-4]
+                near_dense = dense[np.abs(dense - root) < 1e-4]
+                assert near_closed.size == near_dense.size == 2
+                assert abs(near_closed.mean() - near_dense.mean()) <= 1e-10
+
+    def test_other_pencils_take_the_dense_path(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 6))
+        sym = (a + a.T) / 2
+        g = sample_sbm(SbmParams(n=20, p=0.5, q=0.3, seed=9))
+        assert len(set(g.degrees)) > 1
+        pairs = [
+            QepPair(a, 1.5 * np.eye(6)),  # A not symmetric
+            QepPair(sym, np.diag(np.arange(1.0, 7.0))),  # X not scalar
+            build_H(g),
+            build_K(g),
+        ]
+        for pair in pairs:
+            assert not pair.symmetric_scalar
+            assert np.array_equal(pair.spectrum().values, eigs_general(pair.matrix).values)
+        assert QepPair(sym, 1.5 * np.eye(6)).symmetric_scalar
 
 
 class TestSpectrumType:
@@ -208,7 +293,7 @@ class TestSingleBlasThread:
         # scipy.linalg maps scipy's own OpenBLAS after nbspec is imported
         script = """
 import ctypes
-from nbspec import eig
+from nbspec import eig, operators
 eig._openblas_setters()
 import scipy.linalg
 paths = {line.split(maxsplit=5)[5].strip() for line in open("/proc/self/maps")

@@ -301,8 +301,8 @@ class TestClusterCertificate:
         g, stats = fig1_instance
         h0 = build_H0(g, stats)
         h = build_H(g)
-        spec0 = eigs_general(h0.matrix)
-        spec = eigs_general(h.matrix)
+        spec0 = h0.spectrum()
+        spec = h.spectrum()
         eps = corollary_bound(h0.a_block, h0.x_block, h.x_block)
         k_top = [int(np.argmax(spec0.values.real))]
         expected, observed, separated = cluster_certificate(spec0, spec, eps, k_top)
