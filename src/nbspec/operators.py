@@ -44,6 +44,10 @@ def companion(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return m
 
 
+def _symmetric(m: np.ndarray) -> bool:
+    return bool(np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max())
+
+
 @dataclass(frozen=True)
 class QepPair:
     """Coefficient blocks (A, X) of the pencil z^2 I - z A - X.
@@ -71,8 +75,12 @@ class QepPair:
     @property
     def a_symmetric(self) -> bool:
         """Whether A = A^T within 1e-12 relative, the tolerance of ``eigs_symmetric``."""
-        a = self.a_block
-        return bool(np.abs(a - a.T).max() <= 1e-12 * np.abs(a).max())
+        return _symmetric(self.a_block)
+
+    @property
+    def x_symmetric(self) -> bool:
+        """Whether X = X^T within 1e-12 relative."""
+        return _symmetric(self.x_block)
 
     @property
     def symmetric_scalar(self) -> bool:

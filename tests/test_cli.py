@@ -25,6 +25,12 @@ def _load_bench_workloads():
 BENCH = _load_bench_workloads()
 
 
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for subprocesses."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -265,12 +271,27 @@ class TestBound:
         assert doc["all_within_bound"]
         report = json.loads((tmp_path / "bound_H.json").read_text())
         assert len(report["per_mu"]) == 120
+        assert {row["norm_method"] for row in report["per_mu"]} == {"diagonal"}
 
     def test_k_pair_on_sbm(self, tmp_path, capsys):
         code, out = run(capsys, "bound", "--n", "60", "--p", "0.6", "--q", "0.3",
                         "--seed", "2", "--pair", "K", "--out", str(tmp_path))
         assert code == 0
         assert json.loads(out)["all_within_bound"]
+        report = json.loads((tmp_path / "bound_K.json").read_text())
+        assert {row["norm_method"] for row in report["per_mu"]} == {"gram", "envelope"}
+
+    def test_bound_loads_no_scipy(self, tmp_path):
+        # on the benchmark's warm-up graph; scipy would cost import time and memory
+        script = (
+            "import sys; from nbspec.cli import main; "
+            f"rcs = [main(['bound', '--pair', pair, '--n', '40', '--p', '0.5', '--q', '0.2', "
+            f"'--out', {str(tmp_path)!r}]) for pair in 'KH']; "
+            "print(rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True,
+                              text=True, check=True)
+        assert proc.stderr.strip() == "[0, 0] []"
 
     def test_degree_too_small_is_bad_input(self, tmp_path, capsys):
         # near-empty graph: K undefined
@@ -315,9 +336,7 @@ class TestVerify:
             "print(rc, 'scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules, "
             "file=sys.stderr)"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+        proc = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True,
                               text=True, check=True)
         doc = json.loads(proc.stdout)
         assert doc["pass"] and doc["results"]["ihara-bass"]["status"] == "pass"
@@ -355,19 +374,3 @@ class TestBenchCommandLines:
         code, out = run(capsys, *op.argv, "--out", str(tmp_path))
         assert code == 1
         assert not json.loads(out)["pass"]
-
-
-def test_bench_per_layer_names_are_public_functions():
-    """Every ``<module>.<function>`` a traced bench run reports is a public function."""
-    doc = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
-    checked = 0
-    for entry in doc["per_layer"]:
-        name = entry["name"]
-        if name.startswith(("cli.", "trace.", "graphgen.Graph.adjacency.")):
-            continue
-        module_name, function, _metric = name.split(".")
-        module = importlib.import_module(f"nbspec.{module_name}")
-        assert function in module.__all__, name
-        assert inspect.isfunction(getattr(module, function)), name
-        checked += 1
-    assert checked > 0

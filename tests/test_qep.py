@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from nbspec.analysis import check_qep_trials
 from nbspec.eig import Spectrum, eigs_general
 from nbspec.graphgen import (
+    DegreeStats,
     SbmParams,
     complete_graph,
     degree_concentration,
@@ -143,6 +145,20 @@ class TestQepBound:
             assert eps >= prev
             prev = eps
 
+    def test_rejects_symmetric_a_with_defective_x(self):
+        # X commutes with A = I but has no eigenbasis, so no P co-diagonalizes them
+        l0 = QepPair(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        l1 = QepPair(np.eye(2), np.array([[0.0, 1.0], [1e-6, 0.0]]))
+        with pytest.raises(NotQepDiagonalizableError):
+            qep_bound(l0, l1)
+
+    def test_kappa_one_for_commuting_symmetric_blocks(self):
+        a = np.diag([1.0, 1.0, 2.0])
+        x = np.array([[0.5, 0.2, 0.0], [0.2, 0.5, 0.0], [0.0, 0.0, -0.5]])
+        report = qep_bound(QepPair(a, x), QepPair(a, x + 0.01 * np.eye(3)))
+        assert report.kappa == 1.0
+        assert report.all_within_bound()
+
     def test_rejects_noncommuting_blocks(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         x = np.diag([1.0, 2.0])
@@ -205,10 +221,20 @@ def _random_pencils(rng, n):
     return QepPair(a, x), l1
 
 
-def _k_pencils():
-    params = SbmParams(n=100, p=0.28, q=0.1, seed=300007)
+def _k_pencils(seed=300007):
+    """(K0, K) on the graph of the benchmark's certify-K op."""
+    params = SbmParams(n=100, p=0.28, q=0.1, seed=seed)
     g = sample_sbm(params)
     return build_K0(g, expected_stats(params)), build_K(g)
+
+
+def _k_pencils_with_zero_rows():
+    """(K0, K) with gamma = d - 1 for the median degree d, so delta_i = 0 for every such vertex."""
+    g = sample_sbm(SbmParams(n=100, p=0.28, q=0.1, seed=3))
+    d = float(np.median(g.degrees))
+    k0, k = build_K0(g, DegreeStats(alpha=d, beta=None, gamma=d - 1.0)), build_K(g)
+    assert np.any(np.diagonal(k0.x_block - k.x_block) == 0)
+    return k0, k
 
 
 def _h_pencils():
@@ -217,21 +243,61 @@ def _h_pencils():
     return build_H0(g, expected_stats(params)), build_H(g)
 
 
+# how far above the theorem's radius an "envelope" radius may lie
+ENVELOPE_FACTOR = 1.1
+
+
 class TestRadiiSoundness:
-    """Every radius is at least the theorem's and at most 1e-12 relative above it."""
+    """Every radius is at least the theorem's.  One from an exact method is at
+    most 1e-12 relative above it, one from the envelope at most ENVELOPE_FACTOR."""
 
     def _assert_sound_and_tight(self, l0, l1):
         report = qep_bound(l0, l1)
         radii = np.array([eps for _, eps, _, _ in report.per_mu])
         exact = _lapack_radii(l0, l1, report)
+        envelope = np.array(report.norm_methods) == "envelope"
         assert np.all(radii >= exact)
-        assert np.all(radii <= exact * (1 + 1e-12))
+        assert np.all(radii[~envelope] <= exact[~envelope] * (1 + 1e-12))
+        assert np.all(radii[envelope] <= exact[envelope] * ENVELOPE_FACTOR)
+        return report
 
     def test_k_pencil(self):
-        self._assert_sound_and_tight(*_k_pencils())
+        for seed in (3, 18, 300007):
+            report = self._assert_sound_and_tight(*_k_pencils(seed))
+            methods = collections.Counter(report.norm_methods)
+            assert set(methods) == {"gram", "envelope"}
+            assert methods["envelope"] > methods["gram"]
+            # epsilon_global is attained at mu = 1, alone in its cell
+            top = int(np.argmax([eps for _, eps, _, _ in report.per_mu]))
+            assert report.norm_methods[top] == "gram"
+
+    def test_k_pencil_with_zero_rows(self):
+        report = self._assert_sound_and_tight(*_k_pencils_with_zero_rows())
+        assert "envelope" in report.norm_methods
+
+    def test_k_pencil_of_regular_graph(self):
+        g = complete_graph(6)
+        stats = DegreeStats(alpha=5.0, beta=None, gamma=4.0)
+        report = self._assert_sound_and_tight(build_K0(g, stats), build_K(g))
+        assert report.epsilon_global == 0.0
+
+    def test_k_pencil_off_its_structure(self):
+        # a 1e-9 change to one entry of A leaves a residual off diag(delta) S
+        k0, k = _k_pencils(3)
+        a = k.a_block.copy()
+        a[0, 1] += 1e-9
+        report = self._assert_sound_and_tight(k0, QepPair(a, k.x_block))
+        assert "envelope" in report.norm_methods
 
     def test_h_pencil(self):
-        self._assert_sound_and_tight(*_h_pencils())
+        report = self._assert_sound_and_tight(*_h_pencils())
+        assert set(report.norm_methods) == {"diagonal"}
+
+    def test_h_corollary_bound(self):
+        h0, h = _h_pencils()
+        eps = corollary_bound(h0.a_block, h0.x_block, h.x_block)
+        exact = math.sqrt(np.linalg.norm(h0.x_block - h.x_block, 2))
+        assert exact <= eps <= exact * (1 + 1e-12)
 
     def test_random_pencils_with_generic_a_difference(self):
         rng = np.random.default_rng(11)
@@ -240,7 +306,7 @@ class TestRadiiSoundness:
 
     def test_conjugates_share_a_radius(self):
         rng = np.random.default_rng(12)
-        for l0, l1 in [_k_pencils(), _random_pencils(rng, 9)]:
+        for l0, l1 in [_k_pencils(), _k_pencils_with_zero_rows(), _random_pencils(rng, 9)]:
             radius = {complex(mu): eps for mu, eps, _, _ in qep_bound(l0, l1).per_mu}
             assert any(mu.imag != 0 for mu in radius)
             for mu, eps in radius.items():
@@ -269,6 +335,24 @@ class TestPerturbationNorms:
         mus = np.array([0.5, 1 + 2j, 1 - 2j, -3.0])
         solves = self._count_solves(monkeypatch, l0.x_block - l1.x_block, np.zeros((400, 400)), mus)
         assert solves == 1
+
+    def test_k_pencil_takes_few_solves(self, monkeypatch):
+        # about one per envelope cell and isolated mu, where the Gram
+        # expansion alone needs one per conjugate class
+        l0, l1 = _k_pencils()
+        spec0, spec = l0.spectrum(), l1.spectrum()
+        calls = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or solve(m))
+        qep_bound(l0, l1, spec0=spec0, spec=spec)
+        classes = len({(mu.real, abs(mu.imag)) for mu in spec.values})
+        assert 0 < len(calls) < classes / 3
+
+    def test_h_pencil_takes_no_solve(self, monkeypatch):
+        l0, l1 = _h_pencils()
+        spec0, spec = l0.spectrum(), l1.spectrum()
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert qep_bound(l0, l1, spec0=spec0, spec=spec).epsilon_global > 0
 
     def test_complex_hermitian_path_matches_lapack(self):
         rng = np.random.default_rng(13)
