@@ -102,6 +102,21 @@ class CommunityResult:
     accuracy: float
 
 
+def _quantile(ranked: np.ndarray, q: float) -> float:
+    """``np.quantile(ranked, q)`` of ascending values, by numpy's default "linear" rule.
+
+    Spelled out, to the same floating-point operations, because
+    ``np.quantile`` imports ``numpy.ma``.
+    """
+    pos = (ranked.size - 1) * q
+    if pos >= ranked.size - 1:
+        return float(ranked[-1])
+    k = int(pos)
+    lo, hi, frac = ranked[k], ranked[k + 1], pos - k
+    step = hi - lo
+    return float(hi - step * (1 - frac) if frac >= 0.5 else lo + step * frac)
+
+
 def classify_spectrum(
     spec: Spectrum,
     stats: DegreeStats,
@@ -149,8 +164,9 @@ def classify_spectrum(
     dists = np.abs(np.abs(bulk) - root_g)
     quantiles = {}
     if dists.size:
+        ranked = np.sort(dists)
         for qq in (0.5, 0.9, 0.99, 1.0):
-            quantiles[f"q{qq:g}"] = float(np.quantile(dists, qq))
+            quantiles[f"q{qq:g}"] = _quantile(ranked, qq)
     ambiguous = (len(outliers), len(insiders)) != (len(out_targets), len(in_targets))
     return ClassificationReport(
         alpha=alpha,

@@ -63,15 +63,20 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _symmetric(m: np.ndarray) -> bool:
+    """Whether max |m - m^T| <= 1e-12 max |m|; a zero matrix is symmetric."""
+    return bool(np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max())
+
+
 def eigs_symmetric(m: np.ndarray, with_vectors: bool = False):
     """Spectrum of a symmetric real matrix, values ascending.
 
-    Symmetry is enforced to 1e-12 relative.  With ``with_vectors`` returns
-    (Spectrum, eigenvector matrix) with columns matching the sorted values.
+    Symmetry is enforced to 1e-12 relative (``_symmetric``).  With
+    ``with_vectors`` returns (Spectrum, eigenvector matrix) with columns
+    matching the sorted values.
     """
     m = _check_square(m)
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.T).max() > 1e-12 * scale:
+    if not _symmetric(m):
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative")
     if with_vectors:
         w, v = np.linalg.eigh(m)

@@ -167,7 +167,8 @@ def circulant(n: int, offsets) -> Graph:
     i = np.arange(n)
     j = (i[None, :] + np.asarray(offsets, dtype=np.int64)[:, None]) % n
     pairs = np.column_stack((np.minimum(i, j).ravel(), np.maximum(i, j).ravel()))
-    return Graph(n=n, edges=np.unique(pairs, axis=0), labels=_halves(n))
+    edges, _ = np.unique(pairs, axis=0, return_index=True)  # the bare form imports numpy.ma
+    return Graph(n=n, edges=edges, labels=_halves(n))
 
 
 def er_pool(count, n=16, p=0.4, start_seed=0, min_degree=1):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import Spectrum, eigs_general, eigs_symmetric, quadratic_roots
+from .eig import Spectrum, _symmetric, eigs_general, eigs_symmetric, quadratic_roots
 from .graphgen import DegreeStats, Graph
 
 __all__ = [
@@ -42,10 +42,6 @@ def companion(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     m[:n, n:] = x
     m[n:, :n] = np.eye(n)
     return m
-
-
-def _symmetric(m: np.ndarray) -> bool:
-    return bool(np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max())
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,8 @@ __all__ = [
 ]
 
 COMMUTATION_RTOL = 1e-8
-# a_diff counts as diag(delta) S when the residual is this small relative to it
-STRUCTURE_RTOL = 1e-8
 # envelope cells per coordinate across the bulk of Spec(L)
-ENVELOPE_CELLS = 4
+ENVELOPE_CELLS = 3
 
 
 class NotQepDiagonalizableError(ValueError):
@@ -81,6 +79,81 @@ def _abs_norm_bound(m: np.ndarray) -> float:
     return float(min(np.sqrt((a * a).sum()), np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())))
 
 
+class _Gram:
+    """The nonzero terms of E E^H = P + Re(mu) S + |mu|^2 R + i |Im mu| T for real blocks.
+
+    P = Xd Xd^T, C = Ad Xd^T, S = C + C^T, T = C - C^T and R = Ad Ad^T.
+    ``axes`` index the coordinates (Re mu, |mu|^2, |Im mu|) that scale them;
+    f >= ||abs(Xd)||_2 and g >= ||abs(Ad)||_2 come from ``_abs_norm_bound``.
+    """
+
+    def __init__(self, x_diff: np.ndarray, a_diff: np.ndarray):
+        self.n = max(x_diff.shape)
+        self.p = x_diff @ x_diff.T
+        self.f, self.g = _abs_norm_bound(x_diff), _abs_norm_bound(a_diff)
+        terms = []  # (axis, matrix, unit)
+        if a_diff.any():
+            c = a_diff @ x_diff.T
+            terms = [(0, c + c.T, 1.0), (1, a_diff @ a_diff.T, 1.0), (2, c - c.T, 1j)]
+        self.terms = [term for term in terms if term[1].any()]
+        self.axes = [axis for axis, _, _ in self.terms]
+
+    def exact(self, mus: np.ndarray) -> np.ndarray:
+        """``perturbation_norms``: one solve per distinct key, so per conjugate class."""
+        coords = np.column_stack((mus.real, mus.real ** 2 + mus.imag ** 2, np.abs(mus.imag)))
+        keys = list(map(tuple, coords[:, self.axes]))
+        top = {}
+        for key in dict.fromkeys(keys):
+            gram = self.p
+            for coef, (_, m, unit) in zip(key, self.terms):
+                gram = gram + (coef * unit) * m
+            top[key] = np.linalg.eigvalsh(gram)[-1]
+        lam = np.array([top[key] for key in keys], dtype=float)
+        h = self.f + np.sqrt(2.0) * np.abs(mus) * self.g
+        return np.sqrt(np.maximum(lam + _gamma(self.n + 12) * (h * h + np.abs(lam)), 0.0))
+
+    def envelope(self, mus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Upper bounds on ||E(mu)||_2 for every mu, and the method of each.
+
+        ||E(mu)||_2 is convex in mu, as the norm of an affine function of mu,
+        and the same at mu and its conjugate, as the blocks are real.
+        ``_grid`` puts each point (Re mu, |Im mu|) in a cell [x0, x1) x [y0, y1),
+        where it is a convex combination, with bilinear weights, of the four
+        corners x + i y.  In a cell of more than two conjugate classes each
+        mu gets that combination of the corners' norms ("envelope").  The
+        corners are grid vertices, shared by up to four cells, and each is
+        bounded by ``exact``.  Every other mu gets its class solve ("gram").
+
+        Rounding: Re mu and |Im mu| are exact and lie in their cell, and the
+        corners are exact.  Each computed weight lies in [0, 1] within
+        gamma_9 of the exact one, and the sum of the four products is within
+        gamma_4 of itself, so with N_k the corner bounds, adding
+        gamma_48 max_k N_k covers the exact combination and this addition.
+        """
+        norms = np.empty(mus.size)
+        crowded = np.zeros(mus.size, dtype=bool)
+        if self.terms:
+            x, y = mus.real, np.abs(mus.imag)
+            x_cell, x_edges = _grid(x)
+            y_cell, y_edges = _grid(y)
+            _, cell = np.unique(x_cell * y_edges.size + y_cell, return_inverse=True)
+            _, first = np.unique(np.column_stack((x, y)), axis=0, return_index=True)
+            crowded = np.bincount(cell[first])[cell] > 2
+            i, j = x_cell[crowded], y_cell[crowded]
+            wx = (x[crowded] - x_edges[i]) / (x_edges[i + 1] - x_edges[i])
+            wy = (y[crowded] - y_edges[j]) / (y_edges[j + 1] - y_edges[j])
+            offsets = [(0, 0), (0, 1), (1, 0), (1, 1)]
+            ids = np.concatenate([(i + di) * y_edges.size + j + dj for di, dj in offsets])
+            vertex, inverse = np.unique(ids, return_inverse=True)
+            a, b = np.divmod(vertex, y_edges.size)
+            corner = self.exact(x_edges[a] + 1j * y_edges[b])[inverse].reshape(4, -1)
+            weight = np.stack([(wx if di else 1 - wx) * (wy if dj else 1 - wy)
+                               for di, dj in offsets])
+            norms[crowded] = (weight * corner).sum(axis=0) + _gamma(48) * corner.max(axis=0)
+        norms[~crowded] = self.exact(mus[~crowded])
+        return norms, np.where(crowded, "envelope", "gram")
+
+
 def perturbation_norms(x_diff: np.ndarray, a_diff: np.ndarray, mus) -> np.ndarray:
     """Upper bounds on ||E(mu)||_2 for E(mu) = x_diff + mu a_diff, real blocks, every mu.
 
@@ -112,33 +185,9 @@ def perturbation_norms(x_diff: np.ndarray, a_diff: np.ndarray, mus) -> np.ndarra
     x_diff = np.asarray(x_diff, dtype=float)
     a_diff = np.asarray(a_diff, dtype=float)
     mus = np.asarray(mus, dtype=complex).ravel()
-    n = max(x_diff.shape)
-    if n == 0:
+    if max(x_diff.shape) == 0:
         return np.zeros(mus.size)
-    p = x_diff @ x_diff.T
-    f = _abs_norm_bound(x_diff)
-    g = 0.0
-    terms = []  # (coefficient per mu, matrix, unit)
-    if a_diff.any():
-        c = a_diff @ x_diff.T
-        g = _abs_norm_bound(a_diff)
-        terms = [
-            (mus.real, c + c.T, 1.0),
-            (mus.real ** 2 + mus.imag ** 2, a_diff @ a_diff.T, 1.0),
-            (np.abs(mus.imag), c - c.T, 1j),
-        ]
-        terms = [term for term in terms if term[1].any()]
-    keys = np.column_stack([coef for coef, _, _ in terms] or [np.zeros(mus.size)])
-    top = {}
-    for key in map(tuple, keys):
-        if key not in top:
-            gram = p
-            for coef, (_, m, unit) in zip(key, terms):
-                gram = gram + (coef * unit) * m
-            top[key] = np.linalg.eigvalsh(gram)[-1]
-    lam = np.array([top[key] for key in map(tuple, keys)], dtype=float)
-    h = f + np.sqrt(2.0) * np.abs(mus) * g
-    return np.sqrt(np.maximum(lam + _gamma(n + 12) * (h * h + np.abs(lam)), 0.0))
+    return _Gram(x_diff, a_diff).exact(mus)
 
 
 def _gamma(k: int) -> float:
@@ -147,121 +196,21 @@ def _gamma(k: int) -> float:
     return k * u / (1 - k * u)
 
 
-def _row_scaling(x_diff: np.ndarray, a_diff: np.ndarray):
-    """(delta, S, r) with x_diff = -diag(delta), a_diff ~ diag(delta) S, S symmetric, or None.
+def _grid(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Cell of each value on a grid of one coordinate, and the grid's edges.
 
-    Row i of S is row i of a_diff over delta_i; a row with delta_i = 0 is
-    taken from its column, and S is then symmetrized.  r >= ||abs(R^)||_2 of
-    the computed residual R^ = a_diff - diag(delta) S.  None when r exceeds
-    ``STRUCTURE_RTOL`` relative to ||abs(a_diff)||_2: the residual would then
-    loosen every radius, and the Gram expansion is the better method.
+    ``ENVELOPE_CELLS`` cells of equal width span the central 96 % of v, and
+    cells of the same width extend the grid past it, so an isolated mu (1
+    and beta/alpha for K) sits in a cell of its own.  Cell k is
+    [edges[k], edges[k + 1]) in floating point: it brackets its values exactly.
     """
-    delta = -np.diagonal(x_diff)
-    scaled = delta != 0
-    s = np.zeros_like(a_diff)
-    s[scaled] = a_diff[scaled] / delta[scaled, None]
-    s[~scaled] = s[:, ~scaled].T
-    s = (s + s.T) / 2
-    r = _abs_norm_bound(a_diff - delta[:, None] * s)
-    if r > STRUCTURE_RTOL * _abs_norm_bound(a_diff):
-        return None
-    return delta, s, r
-
-
-def _cells(mus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Cell of each mu on a grid over (Re mu, |mu|^2), and whether its cell holds one class.
-
-    The grid has ``ENVELOPE_CELLS`` cells per coordinate across the central
-    96 % of the mu and extends with cells of the same size past it, so an
-    isolated mu (1 and beta/alpha for K) sits in a cell of its own.  A class
-    is a mu and its conjugate, which always share a cell.
-    """
-    coords = np.column_stack((mus.real, mus.real ** 2 + mus.imag ** 2))
-    ranked = np.sort(coords, axis=0)  # np.quantile imports numpy.ma: 1.6 MB more RSS
-    k = mus.size // 50
-    lo, hi = ranked[k], ranked[-1 - k]
-    width = (hi - lo) / ENVELOPE_CELLS
-    spread = (ranked[-1] - ranked[0]) / ENVELOPE_CELLS
-    width = np.where(width > 0, width, np.where(spread > 0, spread, 1.0))
-    _, cell = np.unique(np.floor((coords - lo) / width), axis=0, return_inverse=True)
-    cell = cell.ravel()
-    _, first = np.unique(np.column_stack((mus.real, np.abs(mus.imag))), axis=0, return_index=True)
-    return cell, np.bincount(cell[first])[cell] == 1
-
-
-def _row_scaled_norms(x_diff, a_diff, delta, s, r, mus) -> Tuple[np.ndarray, np.ndarray]:
-    """Upper bounds on ||E(mu)||_2 when E(mu) = -diag(delta) (I - mu S) + mu R, S symmetric.
-
-    With S = Q Lambda Q^T and w_j = |1 - mu lambda_j|,
-    ||diag(delta)(I - mu S)|| = ||diag(delta) Q diag(w)||, which is
-    nondecreasing in each w_j.  The mu are put in cells by ``_cells``.  A mu
-    alone in its cell (up to its conjugate) gets the exact
-    ``perturbation_norms`` ("gram").  Every other cell, with Re mu in
-    [x_lo, x_hi] and |mu|^2 <= s_hi, gets one bound for all its mu
-    ("envelope"): w_j^2 = 1 - 2 Re(mu) lambda_j + |mu|^2 lambda_j^2 is at
-    most W_j^2 = 1 - 2 x* lambda_j + s_hi lambda_j^2, with x* = x_lo when
-    lambda_j >= 0 and x_hi otherwise, so ||E||^2 <= lambda_max(diag(W) M diag(W))
-    with M = (diag(delta) Q)^T (diag(delta) Q), one real symmetric eigensolve.
-
-    Rounding allowance, with u, gamma_k, n, f and g as in
-    ``perturbation_norms``, rho = sqrt(s_hi) >= |mu|, d = max |delta_i|,
-    sigma >= ||abs(S)||_2 and b >= ||abs(diag(delta) Q^)||_2 (all from
-    ``_abs_norm_bound``):
-      - the exact block differences are within gamma_1 (f + rho g) of E;
-      - the exact residual a_diff - diag(delta) S is within gamma_2 (g + d sigma)
-        of R^, so its norm is at most r' = r + gamma_2 (g + d sigma);
-      - ``eigh`` returns Q^, Lambda^ with Q^ within p(n) u of an orthogonal Q,
-        and Q Lambda^ Q^T = S + dS, ||dS||_2 <= 3 p(n) u ||S||_2 + O(u^2)
-        (p(n) = n as in ``perturbation_norms``).  Replacing S and Q by S + dS
-        and Q^ changes the norm by at most gamma_(3n+2) d (W_max + rho sigma);
-      - W is computed upward: each W_j^2 is raised by gamma_8 (1 + 2 |x*
-        lambda_j| + s_hi lambda_j^2), which bounds its rounding error, and
-        s_hi by gamma_3;
-      - forming M^ and G^ = diag(W) M^ diag(W) errs by at most
-        gamma_(n+5) b^2 W_max^2 =: F, and with ``eigvalsh``'s error as in
-        ``perturbation_norms``, lambda_max(diag(W) M diag(W)) <=
-        lambda^ + gamma_(2n+8) (b^2 W_max^2 + |lambda^|).
-    So ||E(mu)|| <= sqrt(lambda^ + gamma_(2n+8) (b^2 W_max^2 + |lambda^|))
-    + gamma_(3n+2) d (W_max + rho sigma) + rho r' + gamma_1 (f + rho g).
-    Relative to ||E|| the allowance grows like n^2 u: 1.5e-12 at n = 100 and
-    1.2e-10 at n = 1000 on SBM K pencils, far below the envelope's own excess.
-    """
-    n = delta.size
-    lam, q = np.linalg.eigh(s)
-    b_mat = delta[:, None] * q
-    del q
-    m = b_mat.T @ b_mat
-    b = _abs_norm_bound(b_mat)
-    del b_mat
-    d = float(np.abs(delta).max())
-    sigma = _abs_norm_bound(s)
-    f, g = _abs_norm_bound(x_diff), _abs_norm_bound(a_diff)
-    r += _gamma(2) * (g + d * sigma)
-
-    cell, alone = _cells(mus)
-    norms = np.empty(mus.size)
-    methods = np.where(alone, "gram", "envelope")
-    if alone.any():
-        norms[alone] = perturbation_norms(x_diff, a_diff, mus[alone])
-    sq = mus.real ** 2 + mus.imag ** 2
-    for c in set(cell[~alone].tolist()):
-        members = cell == c
-        x_lo, x_hi = mus.real[members].min(), mus.real[members].max()
-        s_hi = sq[members].max() * (1 + _gamma(3))
-        rho = np.sqrt(s_hi)
-        t = np.where(lam >= 0, x_lo, x_hi) * lam
-        v = s_hi * lam * lam
-        w = np.sqrt(np.maximum(1.0 - 2.0 * t + v + _gamma(8) * (1.0 + 2.0 * np.abs(t) + v), 0.0))
-        w_max = w.max()
-        top = np.linalg.eigvalsh(w[:, None] * m * w[None, :])[-1]
-        top += _gamma(2 * n + 8) * (b * b * w_max * w_max + abs(top))
-        norms[members] = (
-            np.sqrt(max(top, 0.0))
-            + _gamma(3 * n + 2) * d * (w_max + rho * sigma)
-            + rho * r
-            + _gamma(1) * (f + rho * g)
-        )
-    return norms, methods
+    ranked = np.sort(v)  # np.quantile imports numpy.ma: 1.6 MB more RSS
+    k = v.size // 50
+    lo = ranked[k]
+    width = ((ranked[-1 - k] - lo) or (ranked[-1] - ranked[0]) or 1.0) / ENVELOPE_CELLS
+    edges = lo + width * np.arange(np.floor((ranked[0] - lo) / width) - 1,
+                                   np.ceil((ranked[-1] - lo) / width) + 2)
+    return np.searchsorted(edges, v, side="right") - 1, edges
 
 
 def _norms(x_diff: np.ndarray, a_diff: np.ndarray, mus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -269,19 +218,14 @@ def _norms(x_diff: np.ndarray, a_diff: np.ndarray, mus: np.ndarray) -> Tuple[np.
 
     "diagonal" when a_diff = 0 and x_diff is diagonal: the exact norm is
     max |x_ii|, and gamma_4 relative covers the rounding of the differences
-    and of the square roots taken from it.  The row-scaled structure of
-    (K0, K) goes to ``_row_scaled_norms``; everything else to
-    ``perturbation_norms`` ("gram").
+    and of the square roots taken from it.  Otherwise ``_Gram.envelope``
+    gives "envelope" or "gram" per mu.
     """
     diag = np.diagonal(x_diff)
-    if np.count_nonzero(x_diff) == np.count_nonzero(diag):
-        if not a_diff.any():
-            norm = float(np.abs(diag).max(initial=0.0)) * (1 + _gamma(4))
-            return np.full(mus.size, norm), np.full(mus.size, "diagonal")
-        structure = _row_scaling(x_diff, a_diff)
-        if structure is not None:
-            return _row_scaled_norms(x_diff, a_diff, *structure, mus)
-    return perturbation_norms(x_diff, a_diff, mus), np.full(mus.size, "gram")
+    if not a_diff.any() and np.count_nonzero(x_diff) == np.count_nonzero(diag):
+        norm = float(np.abs(diag).max(initial=0.0)) * (1 + _gamma(4))
+        return np.full(mus.size, norm), np.full(mus.size, "diagonal")
+    return _Gram(x_diff, a_diff).envelope(mus)
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -302,13 +246,14 @@ def _codiag_kappa(pair: QepPair) -> float:
     """kappa(P) of a co-diagonalizer of (A, X), or raise if there is none.
 
     Symmetric A with scalar X co-diagonalize orthogonally: kappa = 1 exactly.
-    Otherwise commutation is required.  Commuting symmetric A and X also
-    co-diagonalize orthogonally; a symmetric A with a non-symmetric X is
-    rejected, since such an X need not be diagonalizable at all.  For a
-    non-symmetric A, P comes from diagonalizing A.
+    So do symmetric A and X that commute.  Every other pencil is rejected: a
+    non-symmetric X need not be diagonalizable at all, and nbspec builds no
+    reference pencil with a non-symmetric A.
     """
     if pair.symmetric_scalar:
         return 1.0
+    if not (pair.a_symmetric and pair.x_symmetric):
+        raise NotQepDiagonalizableError("A and X must both be symmetric")
     a, x = pair.a_block, pair.x_block
     comm = np.linalg.norm(a @ x - x @ a)
     gate = COMMUTATION_RTOL * max(np.linalg.norm(a) * np.linalg.norm(x), 1e-300)
@@ -316,17 +261,7 @@ def _codiag_kappa(pair: QepPair) -> float:
         raise NotQepDiagonalizableError(
             f"blocks do not commute: ||AX - XA||_F = {comm:.3e} > {gate:.3e}"
         )
-    if pair.a_symmetric:
-        if not pair.x_symmetric:
-            raise NotQepDiagonalizableError("A is symmetric but X is not")
-        return 1.0
-    w, p = np.linalg.eig(a)
-    # eig may return defective-looking P for repeated eigenvalues; the
-    # condition number surfaces that rather than hiding it
-    try:
-        return condition_number(p)
-    except SingularMatrixError as exc:
-        raise NotQepDiagonalizableError("A is not diagonalizable") from exc
+    return 1.0
 
 
 def qep_bound(
@@ -347,15 +282,14 @@ def qep_bound(
     from the blocks and recorded per row in ``norm_methods``:
       - "diagonal": A0 = A and X0 - X diagonal, as for (H0, H).  The norm
         is max |(X0 - X)_ii| for every mu, in O(n).
-      - "envelope": X0 - X = -diag(delta) and A0 - A = diag(delta) S with
-        S symmetric, as for (K0, K).  One eigendecomposition of S, then one
-        real eigensolve per cell of a grid over (Re mu, |mu|^2) bounds every
-        mu in the cell (``_row_scaled_norms``).  A mu alone in its cell,
-        such as 1 and beta/alpha, gets "gram" instead.
-      - "gram": everything else, from ``perturbation_norms``: one
-        eigensolve per conjugate class of mu, one in all when A0 = A.
+      - "envelope": every mu in a cell of a grid over (Re mu, |Im mu|) that
+        holds more than two conjugate classes is bounded by interpolating
+        the norms at the cell's corners (``_Gram.envelope``).
+      - "gram": every other mu, from ``perturbation_norms``: one eigensolve
+        per conjugate class, one in all when A0 = A.  Among them are 1 and
+        beta/alpha of a K pencil, which sit in cells of their own.
     "diagonal" and "gram" are exact up to a rounding allowance of about
-    n u relative; "envelope" is looser, by a few percent at n >= 100.
+    n u relative; "envelope" is looser, by a few percent on SBM K pencils.
     """
     kappa = _codiag_kappa(l0)
     if spec0 is None:

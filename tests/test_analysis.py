@@ -109,6 +109,14 @@ class TestClassify:
             )
 
 
+def test_bulk_quantiles_equal_numpys():
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 7, 100, 1001):
+        v = rng.exponential(size=n)
+        for q in (0.5, 0.9, 0.99, 1.0):
+            assert analysis._quantile(np.sort(v), q) == np.quantile(v, q)
+
+
 class TestIharaBass:
     def test_triangle_exact(self, k3):
         match, gap = ihara_bass_check(k3)

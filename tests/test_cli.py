@@ -153,6 +153,18 @@ class TestClassify:
         _, capped = run(capsys, *args)
         assert capped == unset
 
+    def test_classify_and_regular_spectrum_load_no_numpy_ma(self, tmp_path):
+        # np.quantile and a bare np.unique(..., axis=0) import numpy.ma: memory and import time
+        script = (
+            "import sys; from nbspec.cli import main; "
+            f"rcs = [main(['classify', '--n', '40', '--p', '0.5', '--q', '0.2', '--out', {str(tmp_path)!r}]), "
+            f"main(['spectrum', '--preset', 'regular:4,10', '--out', {str(tmp_path)!r}])]; "
+            "print(rcs, 'numpy.ma' in sys.modules, file=sys.stderr)"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True,
+                              text=True, check=True)
+        assert proc.stderr.strip() == "[0, 0] False"
+
 
 class TestBadInput:
     @pytest.mark.parametrize("argv, threads", [

@@ -48,6 +48,19 @@ class TestSymmetric:
         with pytest.raises(NotSymmetricError):
             eigs_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_one_symmetry_rule(self):
+        # eigs_symmetric and QepPair accept and reject the same matrices
+        tilted = np.array([[1.0, 1.0], [1.0 + 2e-12, 1.0]])
+        for m, symmetric in [(np.zeros((3, 3)), True), (np.eye(2) + 1e-13 * tilted, True),
+                             (tilted, False)]:
+            pair = QepPair(m, m)
+            assert pair.a_symmetric == pair.x_symmetric == symmetric
+            if symmetric:
+                eigs_symmetric(m)
+            else:
+                with pytest.raises(NotSymmetricError):
+                    eigs_symmetric(m)
+
     def test_residuals(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((30, 30))

@@ -166,12 +166,11 @@ class TestQepBound:
             qep_bound(QepPair(a, x), QepPair(a, x))
 
     def test_nonsymmetric_codiagonalizable_kappa(self):
-        # A diagonalizable but not symmetric; X scalar commutes with everything
+        # A is diagonalizable and X scalar, but a non-symmetric A gets no kappa
         a = np.array([[1.0, 1.0], [0.0, 2.0]])
         x = 0.5 * np.eye(2)
-        report = qep_bound(QepPair(a, x), QepPair(a, x + 0.01 * np.eye(2)))
-        assert report.kappa > 1.0
-        assert report.all_within_bound()
+        with pytest.raises(NotQepDiagonalizableError):
+            qep_bound(QepPair(a, x), QepPair(a, x + 0.01 * np.eye(2)))
 
     def test_mu_dependent_radius_with_distinct_a(self):
         # different A blocks: radius varies with mu and the theorem still holds
@@ -212,6 +211,11 @@ def _lapack_radii(l0, l1, report):
     return math.sqrt(report.kappa) * np.sqrt(norms)
 
 
+def _symmetric_uniform(rng, n):
+    m = rng.uniform(-1, 1, (n, n))
+    return (m + m.T) / 2
+
+
 def _random_pencils(rng, n):
     """(A, -cI) against a pencil whose A and X blocks are both generic; most mu are complex."""
     a = rng.uniform(-1, 1, (n, n))
@@ -235,6 +239,24 @@ def _k_pencils_with_zero_rows():
     k0, k = build_K0(g, DegreeStats(alpha=d, beta=None, gamma=d - 1.0)), build_K(g)
     assert np.any(np.diagonal(k0.x_block - k.x_block) == 0)
     return k0, k
+
+
+def _real_gram_pencils(n=60):
+    """(A, -1.5 I) against a dense symmetric change of X and A - 0.01 I, exactly: T = 0."""
+    rng = np.random.default_rng(14)
+    a = _symmetric_uniform(rng, n)
+    np.fill_diagonal(a, 0.0)
+    l0 = QepPair(a, -1.5 * np.eye(n))
+    return l0, QepPair(a - 0.01 * np.eye(n), l0.x_block - 0.1 * _symmetric_uniform(rng, n))
+
+
+def _complex_gram_pencils(n=60):
+    """(A, -1.5 I) against generic random changes of both blocks, A's ten times smaller: T != 0."""
+    rng = np.random.default_rng(15)
+    a = _symmetric_uniform(rng, n)
+    l0 = QepPair(a, -1.5 * np.eye(n))
+    return l0, QepPair(a + 0.01 * rng.uniform(-1, 1, (n, n)),
+                       l0.x_block + 0.1 * rng.uniform(-1, 1, (n, n)))
 
 
 def _h_pencils():
@@ -304,6 +326,26 @@ class TestRadiiSoundness:
         for _ in range(40):
             self._assert_sound_and_tight(*_random_pencils(rng, int(rng.integers(2, 13))))
 
+    def _assert_envelope_covers(self, l0, l1):
+        report = self._assert_sound_and_tight(l0, l1)
+        assert "envelope" in report.norm_methods
+        radius = {complex(mu): eps for mu, eps, _, _ in report.per_mu}
+        assert any(mu.imag != 0 for mu in radius)
+        for mu, eps in radius.items():
+            assert radius[mu.conjugate()] == eps
+
+    def test_pencil_with_real_gram_off_the_k_structure(self):
+        l0, l1 = _real_gram_pencils()
+        c = (l0.a_block - l1.a_block) @ (l0.x_block - l1.x_block).T
+        assert not (c - c.T).any()  # T = 0
+        self._assert_envelope_covers(l0, l1)
+
+    def test_pencil_with_complex_gram(self):
+        l0, l1 = _complex_gram_pencils()
+        c = (l0.a_block - l1.a_block) @ (l0.x_block - l1.x_block).T
+        assert (c - c.T).any()  # T != 0
+        self._assert_envelope_covers(l0, l1)
+
     def test_conjugates_share_a_radius(self):
         rng = np.random.default_rng(12)
         for l0, l1 in [_k_pencils(), _k_pencils_with_zero_rows(), _random_pencils(rng, 9)]:
@@ -340,6 +382,18 @@ class TestPerturbationNorms:
         # about one per envelope cell and isolated mu, where the Gram
         # expansion alone needs one per conjugate class
         l0, l1 = _k_pencils()
+        spec0, spec = l0.spectrum(), l1.spectrum()
+        calls = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or solve(m))
+        qep_bound(l0, l1, spec0=spec0, spec=spec)
+        classes = len({(mu.real, abs(mu.imag)) for mu in spec.values})
+        assert 0 < len(calls) < classes / 3
+
+    @pytest.mark.parametrize("pencils", [_real_gram_pencils, _complex_gram_pencils])
+    def test_pencil_off_the_k_structure_takes_few_solves(self, monkeypatch, pencils):
+        # grid vertices are shared between cells whatever the pencil
+        l0, l1 = pencils()
         spec0, spec = l0.spectrum(), l1.spectrum()
         calls = []
         solve = np.linalg.eigvalsh
