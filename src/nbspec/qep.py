@@ -33,6 +33,8 @@ __all__ = [
 COMMUTATION_RTOL = 1e-8
 # envelope cells per coordinate across the bulk of Spec(L)
 ENVELOPE_CELLS = 3
+# split an envelope cell while its corners' mean norm exceeds its centre's by more
+ENVELOPE_RTOL = 0.1
 
 
 class NotQepDiagonalizableError(ValueError):
@@ -97,18 +99,18 @@ class _Gram:
             terms = [(0, c + c.T, 1.0), (1, a_diff @ a_diff.T, 1.0), (2, c - c.T, 1j)]
         self.terms = [term for term in terms if term[1].any()]
         self.axes = [axis for axis, _, _ in self.terms]
+        self.top = {}  # key -> lambda_max of the computed Gram matrix
 
     def exact(self, mus: np.ndarray) -> np.ndarray:
-        """``perturbation_norms``: one solve per distinct key, so per conjugate class."""
+        """``perturbation_norms``: one solve per distinct key, so per conjugate class, kept in ``top``."""
         coords = np.column_stack((mus.real, mus.real ** 2 + mus.imag ** 2, np.abs(mus.imag)))
         keys = list(map(tuple, coords[:, self.axes]))
-        top = {}
-        for key in dict.fromkeys(keys):
+        for key in dict.fromkeys(key for key in keys if key not in self.top):
             gram = self.p
             for coef, (_, m, unit) in zip(key, self.terms):
                 gram = gram + (coef * unit) * m
-            top[key] = np.linalg.eigvalsh(gram)[-1]
-        lam = np.array([top[key] for key in keys], dtype=float)
+            self.top[key] = np.linalg.eigvalsh(gram)[-1]
+        lam = np.array([self.top[key] for key in keys], dtype=float)
         h = self.f + np.sqrt(2.0) * np.abs(mus) * self.g
         return np.sqrt(np.maximum(lam + _gamma(self.n + 12) * (h * h + np.abs(lam)), 0.0))
 
@@ -119,37 +121,46 @@ class _Gram:
         and the same at mu and its conjugate, as the blocks are real.
         ``_grid`` puts each point (Re mu, |Im mu|) in a cell [x0, x1) x [y0, y1),
         where it is a convex combination, with bilinear weights, of the four
-        corners x + i y.  In a cell of more than two conjugate classes each
-        mu gets that combination of the corners' norms ("envelope").  The
-        corners are grid vertices, shared by up to four cells, and each is
-        bounded by ``exact``.  Every other mu gets its class solve ("gram").
+        corners x + i y.  A cell of more than two conjugate classes is split
+        in four at its centre while the mean of its corners' norms exceeds
+        the centre's by more than ``ENVELOPE_RTOL``, as around the minimum of
+        ||E||, where it curves most.  Then each of its mu gets that
+        combination of the corners' norms ("envelope").  Corners and centres
+        are shared between cells, each bounded by ``exact``, and every other
+        mu gets its class solve ("gram").
 
-        Rounding: Re mu and |Im mu| are exact and lie in their cell, and the
-        corners are exact.  Each computed weight lies in [0, 1] within
-        gamma_9 of the exact one, and the sum of the four products is within
-        gamma_4 of itself, so with N_k the corner bounds, adding
-        gamma_48 max_k N_k covers the exact combination and this addition.
+        Rounding: Re mu and |Im mu| are exact and lie in their cell, as the
+        split compares them with the centre, and the corners are exact.  Each
+        computed weight lies in [0, 1] within gamma_9 of the exact one, and
+        the sum of the four products is within gamma_4 of itself, so with N_k
+        the corner bounds, adding gamma_48 max_k N_k covers the exact
+        combination and this addition.
         """
         norms = np.empty(mus.size)
         crowded = np.zeros(mus.size, dtype=bool)
         if self.terms:
             x, y = mus.real, np.abs(mus.imag)
-            x_cell, x_edges = _grid(x)
-            y_cell, y_edges = _grid(y)
-            _, cell = np.unique(x_cell * y_edges.size + y_cell, return_inverse=True)
-            _, first = np.unique(np.column_stack((x, y)), axis=0, return_index=True)
-            crowded = np.bincount(cell[first])[cell] > 2
-            i, j = x_cell[crowded], y_cell[crowded]
-            wx = (x[crowded] - x_edges[i]) / (x_edges[i + 1] - x_edges[i])
-            wy = (y[crowded] - y_edges[j]) / (y_edges[j + 1] - y_edges[j])
-            offsets = [(0, 0), (0, 1), (1, 0), (1, 1)]
-            ids = np.concatenate([(i + di) * y_edges.size + j + dj for di, dj in offsets])
-            vertex, inverse = np.unique(ids, return_inverse=True)
-            a, b = np.divmod(vertex, y_edges.size)
-            corner = self.exact(x_edges[a] + 1j * y_edges[b])[inverse].reshape(4, -1)
-            weight = np.stack([(wx if di else 1 - wx) * (wy if dj else 1 - wy)
-                               for di, dj in offsets])
-            norms[crowded] = (weight * corner).sum(axis=0) + _gamma(48) * corner.max(axis=0)
+            edges = np.column_stack(_grid(x) + _grid(y))  # x0, x1, y0, y1 of each mu's cell
+            _, first, cell = np.unique(edges, axis=0, return_index=True, return_inverse=True)
+            cells = [(*edges[i], np.flatnonzero(cell.ravel() == c)) for c, i in enumerate(first)]
+            while cells:
+                x0, x1, y0, y1, m = cells.pop()
+                if len(set(zip(x[m], y[m]))) <= 2:
+                    continue
+                corner = self.exact(np.array([x0, x0, x1, x1]) + 1j * np.array([y0, y1, y0, y1]))
+                # a side with no float strictly between its ends is not split
+                xm = (x0 + x1) / 2 if x0 < (x0 + x1) / 2 < x1 else x0
+                ym = (y0 + y1) / 2 if y0 < (y0 + y1) / 2 < y1 else y0
+                if (xm, ym) != (x0, y0) and \
+                        corner.mean() > (1 + ENVELOPE_RTOL) * self.exact(np.array([xm + 1j * ym]))[0]:
+                    right, upper = x[m] >= xm, y[m] >= ym
+                    cells += [((x0, xm)[r], (xm, x1)[r], (y0, ym)[u], (ym, y1)[u],
+                               m[(right == r) & (upper == u)]) for r in (0, 1) for u in (0, 1)]
+                    continue
+                wx, wy = (x[m] - x0) / (x1 - x0), (y[m] - y0) / (y1 - y0)
+                weight = np.stack([(1 - wx) * (1 - wy), (1 - wx) * wy, wx * (1 - wy), wx * wy])
+                norms[m] = corner @ weight + _gamma(48) * corner.max()
+                crowded[m] = True
         norms[~crowded] = self.exact(mus[~crowded])
         return norms, np.where(crowded, "envelope", "gram")
 
@@ -197,20 +208,24 @@ def _gamma(k: int) -> float:
 
 
 def _grid(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Cell of each value on a grid of one coordinate, and the grid's edges.
+    """The lower and upper edge of each value's cell on a grid of one coordinate.
 
-    ``ENVELOPE_CELLS`` cells of equal width span the central 96 % of v, and
-    cells of the same width extend the grid past it, so an isolated mu (1
-    and beta/alpha for K) sits in a cell of its own.  Cell k is
-    [edges[k], edges[k + 1]) in floating point: it brackets its values exactly.
+    ``ENVELOPE_CELLS`` cells of equal width span v without its two smallest
+    and two largest values, and cells of the same width extend the grid past
+    them, so an isolated mu (1 and beta/alpha for K) sits in a cell of its
+    own.  The width is at least 16 units in the last place of max |v|, so the
+    computed edges increase with the cell index k and the division misplaces
+    a value by at most one cell; the comparisons put it in [edge k, edge k+1).
     """
     ranked = np.sort(v)  # np.quantile imports numpy.ma: 1.6 MB more RSS
-    k = v.size // 50
+    k = min(2, (v.size - 1) // 2)
     lo = ranked[k]
     width = ((ranked[-1 - k] - lo) or (ranked[-1] - ranked[0]) or 1.0) / ENVELOPE_CELLS
-    edges = lo + width * np.arange(np.floor((ranked[0] - lo) / width) - 1,
-                                   np.ceil((ranked[-1] - lo) / width) + 2)
-    return np.searchsorted(edges, v, side="right") - 1, edges
+    width = max(width, 16 * np.spacing(max(-ranked[0], ranked[-1])))
+    cell = np.floor((v - lo) / width)
+    cell -= v < lo + cell * width
+    cell += v >= lo + (cell + 1) * width
+    return lo + cell * width, lo + (cell + 1) * width
 
 
 def _norms(x_diff: np.ndarray, a_diff: np.ndarray, mus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -284,12 +299,13 @@ def qep_bound(
         is max |(X0 - X)_ii| for every mu, in O(n).
       - "envelope": every mu in a cell of a grid over (Re mu, |Im mu|) that
         holds more than two conjugate classes is bounded by interpolating
-        the norms at the cell's corners (``_Gram.envelope``).
+        the norms at the cell's corners, after splitting cells whose centre
+        lies well below that interpolation (``_Gram.envelope``).
       - "gram": every other mu, from ``perturbation_norms``: one eigensolve
         per conjugate class, one in all when A0 = A.  Among them are 1 and
         beta/alpha of a K pencil, which sit in cells of their own.
     "diagonal" and "gram" are exact up to a rounding allowance of about
-    n u relative; "envelope" is looser, by a few percent on SBM K pencils.
+    n u relative; "envelope" is looser, by a few percent in tested pencils.
     """
     kappa = _codiag_kappa(l0)
     if spec0 is None:

@@ -16,6 +16,7 @@ from nbspec.graphgen import (
     fig1_params,
     sample_sbm,
 )
+from nbspec import qep
 from nbspec.operators import QepPair, build_H, build_H0, build_K, build_K0
 from nbspec.qep import (
     NotQepDiagonalizableError,
@@ -251,12 +252,18 @@ def _real_gram_pencils(n=60):
 
 
 def _complex_gram_pencils(n=60):
-    """(A, -1.5 I) against generic random changes of both blocks, A's ten times smaller: T != 0."""
-    rng = np.random.default_rng(15)
-    a = _symmetric_uniform(rng, n)
-    l0 = QepPair(a, -1.5 * np.eye(n))
-    return l0, QepPair(a + 0.01 * rng.uniform(-1, 1, (n, n)),
-                       l0.x_block + 0.1 * rng.uniform(-1, 1, (n, n)))
+    """``_random_pencils`` at n = 60: A and X change by the same size, so T != 0 and
+    ||E(mu)|| curves strongly around its minimum near mu = 0, inside the bulk."""
+    return _random_pencils(np.random.default_rng(5), n)
+
+
+def _shifted_a_pencils(n=50):
+    """(I, X) against (1.1 I, X), X = -diag(d): the complex mu share Re mu = 0.55 up to
+    rounding, and four real mu (two d_i = -1) lie far from it."""
+    d = np.random.default_rng(16).uniform(0.32, 1.0, n)
+    d[:2] = -1.0
+    x = -np.diag(d)
+    return QepPair(np.eye(n), x), QepPair(1.1 * np.eye(n), x)
 
 
 def _h_pencils():
@@ -346,6 +353,22 @@ class TestRadiiSoundness:
         assert (c - c.T).any()  # T != 0
         self._assert_envelope_covers(l0, l1)
 
+    def test_pencil_with_one_real_part_in_the_bulk(self):
+        # the grid's width must not come from the rounding noise of Re mu
+        l0, l1 = _shifted_a_pencils()
+        mus = l1.spectrum().values
+        assert 0 < np.ptp(mus[mus.imag != 0].real) < 1e-14
+        self._assert_envelope_covers(l0, l1)
+
+    def test_grid_brackets_every_value(self):
+        # the last list puts a value where floor((v - lo) / width) is one cell off
+        for v in ([1.0, 1.0 + 2.0 ** -52], [0.0, 5e-324], [3.0, 3.0, 3.0], [-2.0, 1e300],
+                  [0.025019093320933397, 0.07944276019391511, 0.055137138049038706,
+                   -0.05495856200188163, -0.039966743017754915, 0.07471068907925238,
+                   -0.09894693908688507]):
+            lower, upper = qep._grid(np.array(v))
+            assert np.all(lower <= v) and np.all(np.array(v) < upper)
+
     def test_conjugates_share_a_radius(self):
         rng = np.random.default_rng(12)
         for l0, l1 in [_k_pencils(), _k_pencils_with_zero_rows(), _random_pencils(rng, 9)]:
@@ -390,10 +413,9 @@ class TestPerturbationNorms:
         classes = len({(mu.real, abs(mu.imag)) for mu in spec.values})
         assert 0 < len(calls) < classes / 3
 
-    @pytest.mark.parametrize("pencils", [_real_gram_pencils, _complex_gram_pencils])
-    def test_pencil_off_the_k_structure_takes_few_solves(self, monkeypatch, pencils):
+    def test_pencil_off_the_k_structure_takes_few_solves(self, monkeypatch):
         # grid vertices are shared between cells whatever the pencil
-        l0, l1 = pencils()
+        l0, l1 = _real_gram_pencils()
         spec0, spec = l0.spectrum(), l1.spectrum()
         calls = []
         solve = np.linalg.eigvalsh
