@@ -26,6 +26,8 @@ __all__ = [
     "CommunityResult",
     "classify_spectrum",
     "ihara_bass_check",
+    "PoolGraph",
+    "with_h_spectra",
     "check_ihara_bass",
     "check_det_identity",
     "check_eigenvalue_one",
@@ -184,7 +186,10 @@ def classify_spectrum(
 
 
 def ihara_bass_check(
-    graph: Graph, dense_cap: int = DEFAULT_DENSE_CAP, tolerance: float = 1e-6
+    graph: Graph,
+    dense_cap: int = DEFAULT_DENSE_CAP,
+    tolerance: float = 1e-6,
+    spec_h: Optional[Spectrum] = None,
 ) -> Tuple[bool, float]:
     """Spec(B) vs Spec(H) union the trivial +-1 eigenvalues, as multisets.
 
@@ -196,10 +201,11 @@ def ihara_bass_check(
     must hold as many eigenvalues of either side, with centroids within
     ``tolerance``; an optimal root match within ``tolerance`` would pass this
     test too, so it is not tried.  Returns the pass flag and the worst root
-    or centroid gap.
+    or centroid gap.  Spec(H) is solved here unless ``spec_h`` gives it.
     """
     spec_b = eigs_general(build_B(graph, dense_cap=dense_cap))
-    spec_h = eigs_general(build_H(graph).matrix)
+    if spec_h is None:
+        spec_h = eigs_general(build_H(graph).matrix)
     extra = graph.num_edges - graph.n
     if extra < 0:
         raise ValueError("graph has more vertices than edges; |E| >= |V| expected")
@@ -253,21 +259,35 @@ def _verdict(rows: Iterable[Tuple[bool, float]], key: str) -> dict:
     return {"status": "pass" if ok else "fail", key: worst}
 
 
-def check_ihara_bass(graphs: Sequence[Graph], dense_cap: int = DEFAULT_DENSE_CAP) -> dict:
+@dataclass(frozen=True)
+class PoolGraph:
+    """A graph of an invariant-check pool with its Spec(H), solved once for every check."""
+
+    graph: Graph
+    spec_h: Spectrum
+
+
+def with_h_spectra(graphs: Iterable[Graph]) -> List[PoolGraph]:
+    """The pool the ``check_*`` functions take: each graph with its Spec(H)."""
+    return [PoolGraph(g, eigs_general(build_H(g).matrix)) for g in graphs]
+
+
+def check_ihara_bass(pool: Sequence[PoolGraph], dense_cap: int = DEFAULT_DENSE_CAP) -> dict:
     """``ihara_bass_check`` within 1e-6 on every graph; skipped when some B exceeds the cap."""
-    if 2 * max(g.num_edges for g in graphs) > dense_cap:
+    if 2 * max(p.graph.num_edges for p in pool) > dense_cap:
         return {"status": "skipped", "reason": "dense cap too low"}
     return _verdict(
-        (ihara_bass_check(g, dense_cap=dense_cap, tolerance=1e-6) for g in graphs), "max_gap"
+        (ihara_bass_check(p.graph, dense_cap=dense_cap, spec_h=p.spec_h) for p in pool), "max_gap"
     )
 
 
-def check_det_identity(graphs: Sequence[Graph]) -> dict:
+def check_det_identity(pool: Sequence[PoolGraph]) -> dict:
     """det H = prod(d_i - 1), compared in log space.
 
     With min degree >= 2, det H must be positive with log within 1e-6
     (relative) of sum log(d_i - 1).  A degree-1 vertex makes the product 0,
-    so det H must be exactly 0 or below e^-6.
+    so det H must be exactly 0 or below e^-6.  det H comes from an LU
+    factorization of H, not from Spec(H).
     """
 
     def row(g: Graph) -> Tuple[bool, float]:
@@ -278,28 +298,27 @@ def check_det_identity(graphs: Sequence[Graph]) -> dict:
         rel = abs(logdet - target) / max(abs(target), 1.0)
         return sign > 0 and rel <= 1e-6, rel
 
-    return _verdict(map(row, graphs), "max_rel")
+    return _verdict((row(p.graph) for p in pool), "max_rel")
 
 
-def check_eigenvalue_one(graphs: Sequence[Graph]) -> dict:
+def check_eigenvalue_one(pool: Sequence[PoolGraph]) -> dict:
     """1 is an eigenvalue of H, to 1e-8, on every graph."""
 
-    def row(g: Graph) -> Tuple[bool, float]:
-        gap = float(np.min(np.abs(eigs_general(build_H(g).matrix).values - 1.0)))
+    def row(p: PoolGraph) -> Tuple[bool, float]:
+        gap = float(np.min(np.abs(p.spec_h.values - 1.0)))
         return gap <= 1e-8, gap
 
-    return _verdict(map(row, graphs), "max_gap")
+    return _verdict(map(row, pool), "max_gap")
 
 
-def check_reciprocity(graphs: Sequence[Graph]) -> dict:
+def check_reciprocity(pool: Sequence[PoolGraph]) -> dict:
     """Spec(K) = 1/Spec(H) within 1e-6 on every graph of min degree >= 2 (K needs it)."""
 
-    def row(g: Graph) -> Tuple[bool, float]:
-        spec_h = eigs_general(build_H(g).matrix)
-        spec_k = eigs_general(build_K(g).matrix)
-        return match_spectra(spec_k.values, 1.0 / spec_h.values, tolerance=1e-6)
+    def row(p: PoolGraph) -> Tuple[bool, float]:
+        spec_k = eigs_general(build_K(p.graph).matrix)
+        return match_spectra(spec_k.values, 1.0 / p.spec_h.values, tolerance=1e-6)
 
-    return _verdict((row(g) for g in graphs if g.min_degree() >= 2), "max_gap")
+    return _verdict((row(p) for p in pool if p.graph.min_degree() >= 2), "max_gap")
 
 
 def check_qep_trials(rng: np.random.Generator, trials: int) -> dict:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from nbspec import analysis, cli, eig
 from nbspec.cli import main
 
 
@@ -144,9 +145,13 @@ class TestClassify:
             assert json.dumps(r["classification"]) == json.dumps(
                 json.loads(single)["classification"])
 
-    def test_output_independent_of_thread_cap(self, tmp_path, capsys, monkeypatch):
-        args = ("classify", *self.SWEEP_GRAPH, "--seed", "5", "--seeds", "3",
-                "--out", str(tmp_path))
+    # NBSPEC_THREADS=1 runs the sweep's seeds, and verify's two halves, one after the other
+    @pytest.mark.parametrize("argv", [
+        ("classify", *SWEEP_GRAPH, "--seed", "5", "--seeds", "3"),
+        ("verify", "--seed", "5"),
+    ], ids=["classify", "verify"])
+    def test_output_independent_of_thread_cap(self, tmp_path, capsys, monkeypatch, argv):
+        args = (*argv, "--out", str(tmp_path))
         monkeypatch.delenv("NBSPEC_THREADS", raising=False)
         _, unset = run(capsys, *args)
         monkeypatch.setenv("NBSPEC_THREADS", "1")
@@ -188,6 +193,14 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "abc"])
+    def test_verify_rejects_bad_thread_cap(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("NBSPEC_THREADS", threads)
+        code = main(["verify", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: NBSPEC_THREADS") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--tau", "0.5"],
@@ -353,6 +366,77 @@ class TestVerify:
         doc = json.loads(proc.stdout)
         assert doc["pass"] and doc["results"]["ihara-bass"]["status"] == "pass"
         assert proc.stderr.split() == ["0", "False", "False"]
+
+
+class TestBlasThreads:
+    """Every command runs LAPACK on one OpenBLAS thread and restores the count after."""
+
+    @pytest.fixture
+    def setters(self):
+        """Each loaded OpenBLAS's setter, with every count set to 2 for the test."""
+        setters = eig._openblas_setters()
+        if not setters:
+            pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
+        original = [set_threads(2) for set_threads in setters]
+        yield setters
+        for set_threads, count in zip(setters, original):
+            set_threads(count)
+
+    @staticmethod
+    def _counts(setters):
+        """The counts in force, read by setting 2: each setter returns the count it replaces."""
+        return [set_threads(2) for set_threads in setters]
+
+    @staticmethod
+    def _numeric_failure(graph):
+        raise eig.EigenSolveError("injected")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["bound", "--preset", "k4"], 0),
+        (["bound", "--pair", "K", "--n", "10", "--p", "0.05", "--q", "0.02"], 2),
+        (["spectrum", "--preset", "k4"], 3),
+    ], ids=["exit-0", "exit-2", "exit-3"])
+    def test_count_restored_on_exit(self, tmp_path, capsys, monkeypatch, setters, argv, expected):
+        monkeypatch.setattr(cli, "_h_spectrum", self._numeric_failure)  # spectrum's exit 3
+        assert main([*argv, "--out", str(tmp_path)]) == expected
+        assert self._counts(setters) == [2] * len(setters)
+
+    def test_count_restored_after_error_on_verify_worker(self, tmp_path, monkeypatch, setters):
+        inside = []
+
+        def broken(pool):
+            inside.append([set_threads(1) for set_threads in setters])  # reads, leaves 1
+            raise RuntimeError("injected")
+
+        monkeypatch.delenv("NBSPEC_THREADS", raising=False)
+        monkeypatch.setattr(analysis, "check_det_identity", broken)
+        with pytest.raises(RuntimeError, match="injected"):
+            main(["verify", "--out", str(tmp_path)])
+        assert inside == [[1] * len(setters)]
+        assert self._counts(setters) == [2] * len(setters)
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--pair", "K", "--n", "100", "--p", "0.2", "--q", "0.05"),
+        ("bound", "--pair", "H", "--n", "200", "--p", "0.12", "--q", "0.04"),
+        ("verify", "--seed", "2"),
+        ("spectrum", "--n", "100", "--p", "0.2", "--q", "0.05"),
+    ], ids=["bound-K", "bound-H", "verify", "spectrum"])
+    def test_output_independent_of_blas_threads(self, tmp_path, argv):
+        # on two cores these runs differed in the last bits when OpenBLAS ran two threads
+        runs = []
+        for threads in ("1", None):
+            env = _src_env()
+            env.pop("OMP_NUM_THREADS", None)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            cwd = tmp_path / f"threads-{threads}"
+            cwd.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "nbspec.cli", *argv, "--out", "."],
+                                  cwd=cwd, env=env, capture_output=True, check=True)
+            files = {path.name: path.read_bytes() for path in cwd.iterdir()}
+            runs.append((proc.stdout, files))
+        assert runs[0] == runs[1]
 
 
 def test_bench_per_layer_names_are_public_functions():
