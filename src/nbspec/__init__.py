@@ -25,7 +25,6 @@ from .eig import Spectrum, eigs_general, eigs_symmetric, match_spectra, quadrati
 from .qep import (
     QepBoundReport,
     cluster_certificate,
-    condition_number,
     corollary_bound,
     perturbation_norms,
     qep_bound,

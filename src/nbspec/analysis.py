@@ -11,7 +11,6 @@ import numpy as np
 from .eig import Spectrum, _greedy_match, eigs_general, eigs_symmetric, match_spectra
 from .graphgen import DegreeStats, Graph
 from .operators import (
-    DEFAULT_DENSE_CAP,
     QepPair,
     bethe_hessian,
     build_B,
@@ -185,25 +184,20 @@ def classify_spectrum(
     )
 
 
-def ihara_bass_check(
-    graph: Graph,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    tolerance: float = 1e-6,
-    spec_h: Optional[Spectrum] = None,
-) -> Tuple[bool, float]:
+def ihara_bass_check(graph: Graph, spec_h: Optional[Spectrum] = None) -> Tuple[bool, float]:
     """Spec(B) vs Spec(H) union the trivial +-1 eigenvalues, as multisets.
 
     The trivial eigenvalues come with multiplicity |E| - |V| each.  H's
     eigenvalue 0 is defective where a vertex has degree 1: the eigensolver
     spreads it over a ring of radius (eps ||H||)^(1/k), too wide for a
-    root-by-root match at ``tolerance``, but the ring's centroid is good to
-    O(eps).  So when the greedy root match misses, each cluster of the union
-    must hold as many eigenvalues of either side, with centroids within
-    ``tolerance``; an optimal root match within ``tolerance`` would pass this
-    test too, so it is not tried.  Returns the pass flag and the worst root
-    or centroid gap.  Spec(H) is solved here unless ``spec_h`` gives it.
+    root-by-root match at 1e-6, but the ring's centroid is good to O(eps).
+    So when the greedy root match misses, each cluster of the union must
+    hold as many eigenvalues of either side, with centroids within 1e-6; an
+    optimal root match within 1e-6 would pass this test too, so it is not
+    tried.  Returns the pass flag and the worst root or centroid gap.
+    Spec(H) is solved here unless ``spec_h`` gives it.
     """
-    spec_b = eigs_general(build_B(graph, dense_cap=dense_cap))
+    spec_b = eigs_general(build_B(graph))
     if spec_h is None:
         spec_h = eigs_general(build_H(graph).matrix)
     extra = graph.num_edges - graph.n
@@ -213,12 +207,12 @@ def ihara_bass_check(
         [spec_h.values, np.full(extra, 1.0 + 0j), np.full(extra, -1.0 + 0j)]
     )
     gap = float(_greedy_match(spec_b.values, padded).max())
-    if gap <= tolerance:
+    if gap <= 1e-6:
         return True, gap
     centroid_gap = _centroid_gap(spec_b.values, padded)
     if centroid_gap is None:
         return False, gap
-    return centroid_gap <= tolerance, centroid_gap
+    return centroid_gap <= 1e-6, centroid_gap
 
 
 def _centroid_gap(a: np.ndarray, b: np.ndarray, radius: float = 1e-3) -> Optional[float]:
@@ -272,13 +266,9 @@ def with_h_spectra(graphs: Iterable[Graph]) -> List[PoolGraph]:
     return [PoolGraph(g, eigs_general(build_H(g).matrix)) for g in graphs]
 
 
-def check_ihara_bass(pool: Sequence[PoolGraph], dense_cap: int = DEFAULT_DENSE_CAP) -> dict:
-    """``ihara_bass_check`` within 1e-6 on every graph; skipped when some B exceeds the cap."""
-    if 2 * max(p.graph.num_edges for p in pool) > dense_cap:
-        return {"status": "skipped", "reason": "dense cap too low"}
-    return _verdict(
-        (ihara_bass_check(p.graph, dense_cap=dense_cap, spec_h=p.spec_h) for p in pool), "max_gap"
-    )
+def check_ihara_bass(pool: Sequence[PoolGraph]) -> dict:
+    """``ihara_bass_check`` within 1e-6 on every graph."""
+    return _verdict((ihara_bass_check(p.graph, spec_h=p.spec_h) for p in pool), "max_gap")
 
 
 def check_det_identity(pool: Sequence[PoolGraph]) -> dict:

@@ -200,13 +200,13 @@ def _greedy_match(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def match_spectra(s0, s1, tolerance: float = 1e-8) -> Tuple[bool, float]:
-    """Multiset-match two spectra; returns (within tolerance, worst matched gap).
+    """Multiset-match two arrays of eigenvalues; returns (within tolerance, worst matched gap).
 
     Greedy nearest-neighbor after sorting by (real, imag); falls back to the
     optimal assignment only when the greedy match misses the tolerance.
     """
-    a = s0.values if isinstance(s0, Spectrum) else np.asarray(s0, dtype=complex)
-    b = s1.values if isinstance(s1, Spectrum) else np.asarray(s1, dtype=complex)
+    a = np.asarray(s0, dtype=complex)
+    b = np.asarray(s1, dtype=complex)
     if a.size != b.size:
         raise ValueError(f"spectra sizes differ: {a.size} vs {b.size}")
     if a.size == 0:

@@ -74,11 +74,6 @@ class QepPair:
         return _symmetric(self.a_block)
 
     @property
-    def x_symmetric(self) -> bool:
-        """Whether X = X^T within 1e-12 relative."""
-        return _symmetric(self.x_block)
-
-    @property
     def symmetric_scalar(self) -> bool:
         """Whether A is symmetric and X = cI (within 1e-12 relative to max(|c|, 1)).
 

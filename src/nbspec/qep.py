@@ -2,16 +2,18 @@
 
 For linearizations L0 = [[A, X], [I, 0]] and L = [[B, Y], [I, 0]] with L0
 QEP-diagonalizable (A, X co-diagonalized by P), every eigenvalue mu of L lies
-within eps(mu) = sqrt(kappa(P)) * sqrt(||X - Y + mu (A - B)||) of some
-eigenvalue of L0, and eigenvalue counts inside well-separated unions of
-eps-balls are preserved.
+within sqrt(kappa(P)) * sqrt(||X - Y + mu (A - B)||) of some eigenvalue of
+L0, and eigenvalue counts inside well-separated unions of such balls are
+preserved.  Only a reference with a symmetric A and X = cI is accepted
+(``QepPair.symmetric_scalar``, as for H0, K0 and the (A, cI) trial pencils):
+its P is orthogonal, so kappa(P) = 1 and eps(mu) = sqrt(||X - Y + mu (A - B)||).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,16 +23,13 @@ from .operators import QepPair
 __all__ = [
     "QepBoundReport",
     "NotQepDiagonalizableError",
-    "SingularMatrixError",
     "perturbation_norms",
     "spectral_norm",
-    "condition_number",
     "qep_bound",
     "corollary_bound",
     "cluster_certificate",
 ]
 
-COMMUTATION_RTOL = 1e-8
 # envelope cells per coordinate across the bulk of Spec(L)
 ENVELOPE_CELLS = 3
 # split an envelope cell while its corners' mean norm exceeds its centre's by more
@@ -38,18 +37,14 @@ ENVELOPE_RTOL = 0.1
 
 
 class NotQepDiagonalizableError(ValueError):
-    """The reference pencil's coefficient blocks do not co-diagonalize."""
-
-
-class SingularMatrixError(ValueError):
-    """Condition number requested for a (numerically) singular matrix."""
+    """The reference pencil is not ``symmetric_scalar``, so no orthogonal P co-diagonalizes it."""
 
 
 @dataclass(frozen=True)
 class QepBoundReport:
     """Everything the QEP Bauer-Fike theorem asserts about one (L0, L) pair."""
 
-    kappa: float
+    kappa: ClassVar[float] = 1.0  # kappa(P) of the orthogonal P of a symmetric_scalar reference
     per_mu: List[Tuple[complex, float, complex, float]]  # (mu, eps(mu), nu, |mu-nu|)
     epsilon_global: float
     norm_methods: Tuple[str, ...]  # per row: "diagonal", "gram" or "envelope"
@@ -249,34 +244,10 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(_norms(m, np.zeros_like(m), np.zeros(1, dtype=complex))[0][0])
 
 
-def condition_number(p: np.ndarray) -> float:
-    """Ratio of the largest to the smallest singular value."""
-    s = np.linalg.svd(np.asarray(p), compute_uv=False)
-    if s[-1] <= np.finfo(float).eps * max(p.shape) * s[0]:
-        raise SingularMatrixError("matrix is numerically singular")
-    return float(s[0] / s[-1])
-
-
-def _codiag_kappa(pair: QepPair) -> float:
-    """kappa(P) of a co-diagonalizer of (A, X), or raise if there is none.
-
-    Symmetric A with scalar X co-diagonalize orthogonally: kappa = 1 exactly.
-    So do symmetric A and X that commute.  Every other pencil is rejected: a
-    non-symmetric X need not be diagonalizable at all, and nbspec builds no
-    reference pencil with a non-symmetric A.
-    """
-    if pair.symmetric_scalar:
-        return 1.0
-    if not (pair.a_symmetric and pair.x_symmetric):
-        raise NotQepDiagonalizableError("A and X must both be symmetric")
-    a, x = pair.a_block, pair.x_block
-    comm = np.linalg.norm(a @ x - x @ a)
-    gate = COMMUTATION_RTOL * max(np.linalg.norm(a) * np.linalg.norm(x), 1e-300)
-    if comm > gate:
-        raise NotQepDiagonalizableError(
-            f"blocks do not commute: ||AX - XA||_F = {comm:.3e} > {gate:.3e}"
-        )
-    return 1.0
+def _check_reference(pair: QepPair) -> None:
+    """Raise unless the reference has a symmetric A and X = cI, so kappa(P) = 1."""
+    if not pair.symmetric_scalar:
+        raise NotQepDiagonalizableError("the reference pencil needs a symmetric A and X = cI")
 
 
 def qep_bound(
@@ -285,8 +256,10 @@ def qep_bound(
     spec0: Optional[Spectrum] = None,
     spec: Optional[Spectrum] = None,
 ) -> QepBoundReport:
-    """Per-eigenvalue radii eps(mu) and nearest-reference matching.
+    """Per-eigenvalue radii eps(mu) = sqrt(||E(mu)||) and nearest-reference matching.
 
+    ``l0`` must be ``symmetric_scalar`` (kappa(P) = 1, see the module
+    docstring); any other reference raises ``NotQepDiagonalizableError``.
     Precomputed spectra of the linearizations may be passed to avoid repeated
     eigensolves; otherwise both come from ``QepPair.spectrum``, so a pencil
     identical to the reference (H of a regular graph against H0) takes the
@@ -307,7 +280,7 @@ def qep_bound(
     "diagonal" and "gram" are exact up to a rounding allowance of about
     n u relative; "envelope" is looser, by a few percent in tested pencils.
     """
-    kappa = _codiag_kappa(l0)
+    _check_reference(l0)
     if spec0 is None:
         spec0 = l0.spectrum()
     if spec is None:
@@ -317,19 +290,19 @@ def qep_bound(
     nus = spec0.values
     per_mu = []
     for mu, norm in zip(mus, norms):
-        eps = float(np.sqrt(kappa) * np.sqrt(norm))
+        eps = float(np.sqrt(norm))
         gaps = np.abs(nus - mu)
         k = int(gaps.argmin())
         per_mu.append((complex(mu), eps, complex(nus[k]), float(gaps[k])))
     eps_global = max((eps for _, eps, _, _ in per_mu), default=0.0)
-    return QepBoundReport(kappa=kappa, per_mu=per_mu, epsilon_global=eps_global,
+    return QepBoundReport(per_mu=per_mu, epsilon_global=eps_global,
                           norm_methods=tuple(methods.tolist()))
 
 
 def corollary_bound(a: np.ndarray, x_block: np.ndarray, y_block: np.ndarray) -> float:
-    """Global radius sqrt(kappa(P) ||X - Y||) for the shared-A case."""
-    kappa = _codiag_kappa(QepPair(a, x_block))
-    return float(np.sqrt(kappa * spectral_norm(np.asarray(x_block) - np.asarray(y_block))))
+    """Global radius sqrt(||X - Y||) for the shared-A case; (A, X) must be ``symmetric_scalar``."""
+    _check_reference(QepPair(a, x_block))
+    return float(np.sqrt(spectral_norm(np.asarray(x_block) - np.asarray(y_block))))
 
 
 def cluster_certificate(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from nbspec.eig import eigs_general
 from nbspec.graphgen import Graph, complete_graph, expected_stats, fig1_params, sample_sbm
+from nbspec.operators import build_H, build_K
 
 
 def make_graph(n, edges):
@@ -28,3 +30,10 @@ def k4():
 def fig1_instance():
     params = fig1_params("right")
     return sample_sbm(params), expected_stats(params)
+
+
+@pytest.fixture(scope="session")
+def fig1_spectra(fig1_instance):
+    """(Spec(H), Spec(K)) of ``fig1_instance``: two 2000 x 2000 eigensolves, done once."""
+    g, _ = fig1_instance
+    return eigs_general(build_H(g).matrix), eigs_general(build_K(g).matrix)

@@ -26,7 +26,6 @@ from nbspec.graphgen import complete_graph, er_pool, expected_stats, fig1_params
 from nbspec.operators import build_B, build_H, build_H0, build_K, build_K0
 from nbspec.qep import (
     cluster_certificate,
-    condition_number,
     corollary_bound,
     qep_bound,
     spectral_norm,
@@ -49,9 +48,10 @@ def er50():
 
 
 @pytest.fixture(scope="module")
-def fig1_runs():
-    runs = []
-    for seed in range(1, 6):
+def fig1_runs(fig1_instance):
+    # seed 1 is the session's fig1_instance, whose spectra fig1_spectra holds
+    runs = [fig1_instance]
+    for seed in range(2, 6):
         params = fig1_params("right", seed=seed)
         g = sample_sbm(params)
         stats = expected_stats(params)
@@ -114,12 +114,12 @@ def test_criterion_4_eigenvalue_one(er50):
     )
 
 
-def test_criterion_5_figure1_reproduction(fig1_runs):
+def test_criterion_5_figure1_reproduction(fig1_runs, fig1_spectra):
     t0 = time.time()
     good = 0
     details = []
-    for g, stats in fig1_runs:
-        spec = eigs_general(build_H(g).matrix)
+    for i, (g, stats) in enumerate(fig1_runs):
+        spec = fig1_spectra[0] if i == 0 else eigs_general(build_H(g).matrix)
         rep = classify_spectrum(spec, stats)
         scale = 2 * stats.alpha**0.75
         cond = (
@@ -167,7 +167,7 @@ def test_criterion_7_square_root_improvement():
     h = build_H(g)
     eps_qep = corollary_bound(h0.a_block, h0.x_block, h.x_block)
     _, q = np.linalg.eig(h0.matrix)
-    eps_classical = condition_number(q) * spectral_norm(h0.x_block - h.x_block)
+    eps_classical = np.linalg.cond(q) * spectral_norm(h0.x_block - h.x_block)
     _report(
         7,
         f"QEP radius {eps_qep:.3f} < classical Bauer-Fike {eps_classical:.3f} at n=400",
@@ -190,12 +190,12 @@ def test_criterion_8_semicircle():
     )
 
 
-def test_criterion_9_insider_existence(fig1_runs):
+def test_criterion_9_insider_existence(fig1_runs, fig1_spectra):
     g, stats = fig1_runs[0]
     k0 = build_K0(g, stats)
     k = build_K(g)
     spec0 = k0.spectrum()
-    spec = k.spectrum()
+    _, spec = fig1_spectra
     report = qep_bound(k0, k, spec0=spec0, spec=spec)
     eps = report.epsilon_global
     zeta1 = int(np.argmin(np.abs(spec0.values - 1.0)))

@@ -31,14 +31,14 @@ from nbspec.graphgen import (
     expected_stats,
     sample_sbm,
 )
-from nbspec.operators import TooLargeError, build_H, build_H0
+from nbspec.operators import build_H, build_H0
 from nbspec.qep import qep_bound
 
 
 class TestClassify:
-    def test_fig1_layout(self, fig1_instance):
-        g, stats = fig1_instance
-        spec = eigs_general(build_H(g).matrix)
+    def test_fig1_layout(self, fig1_instance, fig1_spectra):
+        _, stats = fig1_instance
+        spec, _ = fig1_spectra
         report = classify_spectrum(spec, stats)
         assert not report.ambiguous
         assert len(report.outliers) == 2
@@ -53,9 +53,9 @@ class TestClassify:
         total = len(report.outliers) + len(report.insiders) + report.bulk.size
         assert total == len(spec)
 
-    def test_fig1_outlier_gaps(self, fig1_instance):
-        g, stats = fig1_instance
-        spec = eigs_general(build_H(g).matrix)
+    def test_fig1_outlier_gaps(self, fig1_instance, fig1_spectra):
+        _, stats = fig1_instance
+        spec, _ = fig1_spectra
         report = classify_spectrum(spec, stats)
         by_target = {round(t, 6): gap for _, t, gap in report.outliers}
         scale = stats.alpha ** 0.75  # ~30.5
@@ -88,12 +88,9 @@ class TestClassify:
             assert np.all(np.abs(real) >= 1 - 1e-7)
             assert np.all(np.abs(real) <= dmax - 1 + 1e-7)
 
-    def test_reciprocity_of_reports(self, fig1_instance):
-        from nbspec.operators import build_K
-
-        g, stats = fig1_instance
-        spec_h = eigs_general(build_H(g).matrix)
-        spec_k = eigs_general(build_K(g).matrix)
+    def test_reciprocity_of_reports(self, fig1_instance, fig1_spectra):
+        _, stats = fig1_instance
+        spec_h, spec_k = fig1_spectra
         rep_h = classify_spectrum(spec_h, stats)
         rep_k = classify_spectrum(Spectrum(1 / spec_k.values), stats)
         for (v1, t1, _), (v2, t2, _) in zip(
@@ -131,10 +128,6 @@ class TestIharaBass:
         for g in er_pool(10, n=16, p=0.4, start_seed=0):
             match, gap = ihara_bass_check(g)
             assert match, gap
-
-    def test_cap_propagates(self, k4):
-        with pytest.raises(TooLargeError):
-            ihara_bass_check(k4, dense_cap=4)
 
     def test_defective_zero_matched_by_centroid(self):
         # graph 4 has a degree-1 vertex, so 0 is a defective eigenvalue of H;

@@ -206,8 +206,9 @@ class TestBadInput:
         ["verify", "--tau", "0.5"],
         ["verify", "--preset", "k4"],
         ["bound", "--preset", "k4", "--dense-cap", "10"],
+        ["verify", "--dense-cap", "10"],
         ["sample", "--preset", "k4", "--tau", "0.5"],
-    ], ids=["verify-tau", "verify-preset", "bound-dense-cap", "sample-tau"])
+    ], ids=["verify-tau", "verify-preset", "bound-dense-cap", "verify-dense-cap", "sample-tau"])
     def test_option_the_command_does_not_take(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         code = main([*argv, "--out", str(out)])
@@ -340,13 +341,6 @@ class TestVerify:
             "qep-random-trials",
             "semicircle-ks",
         }
-
-    def test_low_cap_skips_ihara_bass(self, tmp_path, capsys):
-        code, out = run(capsys, "verify", "--dense-cap", "10", "--out", str(tmp_path))
-        doc = json.loads(out)
-        assert doc["results"]["ihara-bass"]["status"] == "skipped"
-        assert "reason" in doc["results"]["ihara-bass"]
-        assert code == 0
 
     def test_fault_injection_fails(self, tmp_path, capsys):
         code, out = run(capsys, "verify", "--fault-inject", "--out", str(tmp_path))
