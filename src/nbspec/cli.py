@@ -128,7 +128,10 @@ def resolve_graph(args) -> Tuple[Graph, DegreeStats, Optional[SbmParams]]:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameters(f"cannot create --out {args.out}: {exc.strerror}") from None
     return out
 
 

@@ -64,8 +64,13 @@ def _check_square(m: np.ndarray) -> np.ndarray:
 
 
 def _symmetric(m: np.ndarray) -> bool:
-    """Whether max |m - m^T| <= 1e-12 max |m|; a zero matrix is symmetric."""
-    return bool(np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max())
+    """Whether max |m - m^T| <= 1e-12 max |m|; a zero matrix is symmetric.
+
+    One n x n temporary: the difference, made absolute in place.
+    """
+    gap = m - m.T
+    np.abs(gap, out=gap)
+    return bool(gap.max() <= 1e-12 * max(m.max(), -m.min()))
 
 
 def eigs_symmetric(m: np.ndarray, with_vectors: bool = False):

@@ -137,17 +137,20 @@ def sample_sbm(params: SbmParams) -> Graph:
     draw from a PCG64 stream seeded with ``params.seed``, so identical
     parameters give bit-identical edge sets.
     """
-    n = params.n
-    half = n // 2
+    n, p, q = params.n, params.p, params.q
     rng = np.random.Generator(np.random.PCG64(params.seed))
 
-    # one uniform per pair, lexicographic (i, j) order
-    iu, ju = np.triu_indices(n, k=1)
-    u = rng.random(iu.size)
-    same_block = (iu < half) == (ju < half)
-    thresh = np.where(same_block, params.p, params.q)
-    keep = u < thresh
-    return Graph(n=n, edges=np.column_stack((iu[keep], ju[keep])), labels=_halves(n))
+    # one uniform per pair, lexicographic (i, j) order: row i's pairs start at off[i]
+    rows = np.arange(n)
+    off = rows * n - rows * (rows + 1) // 2
+    u = rng.random(n * (n - 1) // 2)
+    # pairs under the larger threshold, then each against its own
+    cand = np.flatnonzero(u < max(p, q))
+    i = np.searchsorted(off, cand, side="right") - 1
+    j = cand - off[i] + i + 1
+    cross = (i < n // 2) & (j >= n // 2)
+    keep = u[cand] < np.where(cross, q, p)
+    return Graph(n=n, edges=np.column_stack((i[keep], j[keep])), labels=_halves(n))
 
 
 def _halves(n: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from nbspec.graphgen import (
     expected_stats,
     sample_sbm,
 )
-from nbspec.operators import build_H, build_H0
+from nbspec.operators import build_B, build_H, build_H0
 from nbspec.qep import qep_bound
 
 
@@ -129,14 +129,22 @@ class TestIharaBass:
             match, gap = ihara_bass_check(g)
             assert match, gap
 
-    def test_defective_zero_matched_by_centroid(self):
-        # graph 4 has a degree-1 vertex, so 0 is a defective eigenvalue of H;
-        # the eigensolver spreads it up to 9.7e-6 wide, past the 1e-6 root
-        # match, while its cluster's centroid agrees with Spec(B)'s
+    def test_defective_zero_needs_no_matching(self):
+        # graph 4 has a degree-1 vertex, so 0 is a defective eigenvalue of H,
+        # which the eigensolver spreads up to 9.7e-6 wide; the determinants
+        # at fixed z do not see it
         assert DEFECTIVE_POOL[4].min_degree() == 1
         result = check_ihara_bass(with_h_spectra(DEFECTIVE_POOL))
         assert result["status"] == "pass"
         assert result["max_gap"] <= 1e-12
+
+    @pytest.mark.parametrize("seed", [583, 3450, 5994, 10300004])
+    def test_pools_with_a_degree_one_vertex(self, seed):
+        pool = er_pool(10, n=16, p=0.4, start_seed=seed)
+        assert min(g.min_degree() for g in pool) == 1
+        for g in pool:
+            match, gap = ihara_bass_check(g)
+            assert match and gap <= 1e-12
 
     def test_centroid_match_still_sees_a_small_fault(self, monkeypatch):
         def shifted(graph):
@@ -149,14 +157,16 @@ class TestIharaBass:
         ok, gap = ihara_bass_check(DEFECTIVE_POOL[4])
         assert not ok and gap > 1e-6
 
+    def test_sees_a_small_fault_in_b(self, monkeypatch):
+        def shifted(graph):
+            b = build_B(graph).copy()
+            b[0, 1] += 1e-3
+            return b
 
-    def test_clusters_link_through_chains(self):
-        # 0 - 0.9e-3 - 1.8e-3 - 2.7e-3 is one single-linkage cluster at 1e-3
-        # with two points from each side, and 5 + 5i a second one
-        a = np.array([0.0, 0.9e-3, 5 + 5j])
-        b = np.array([1.8e-3, 2.7e-3, 5 + 5j])
-        assert analysis._centroid_gap(a, b) == pytest.approx(1.8e-3, rel=1e-12)
-        assert analysis._centroid_gap(a[:2], np.array([1.8e-3, 5.0])) is None
+        monkeypatch.setattr(analysis, "build_B", shifted)
+        for g in er_pool(10, start_seed=0):
+            ok, gap = ihara_bass_check(g)
+            assert not ok and gap > 1e-6
 
 
 DEFECTIVE_POOL = er_pool(10, n=16, p=0.4, start_seed=10300000)

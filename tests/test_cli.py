@@ -251,6 +251,16 @@ class TestBadInput:
         assert code == 2
         assert err.startswith(f"error: cannot read {path}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("under", [True, False], ids=["under-a-file", "a-file"])
+    def test_unwritable_out(self, tmp_path, capsys, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        code = main(["sample", "--n", "20", "--p", "0.5", "--q", "0.2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot create --out {out}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("text, expected", [
         ("4 3 0 nan nan\n0011\n0 1\n", "error: line 4: "),  # fewer edge lines than m
         ("4 1 0 nan nan\n0011\n0 x\n", "error: line 3: "),  # non-integer vertex
@@ -347,8 +357,8 @@ class TestVerify:
         assert code == 1
         assert not json.loads(out)["pass"]
 
-    def test_ihara_bass_fallback_loads_no_scipy(self, tmp_path):
-        # at seed 700111 one graph misses the root match, so the fallback runs
+    def test_verify_loads_no_scipy(self, tmp_path):
+        # seed 700111's pool has a graph whose H has a defective eigenvalue 0
         script = (
             "import sys; from nbspec.cli import main; "
             f"rc = main(['verify', '--seed', '700111', '--out', {str(tmp_path)!r}]); "

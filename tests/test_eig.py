@@ -61,6 +61,25 @@ class TestSymmetric:
                 with pytest.raises(NotSymmetricError):
                     eigs_symmetric(m)
 
+    def test_symmetry_rule_verdicts_unchanged(self):
+        # the rule as first written, with three n x n temporaries
+        def reference(m):
+            return bool(np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max())
+
+        rng = np.random.default_rng(17)
+        cases = [(np.zeros((4, 4)), True), (-np.eye(3), True),
+                 (np.array([[0.0, -1.0], [-1.0, 0.0]]), True)]
+        for n in (2, 5, 40):
+            a = rng.standard_normal((n, n))
+            s = a + a.T
+            cases += [(s, True), (-np.abs(s), True)]
+            for rel, symmetric in ((1e-13, True), (1e-11, False)):
+                tilted = s.copy()
+                tilted[0, -1] += rel * np.abs(s).max()
+                cases.append((tilted, symmetric))
+        for m, symmetric in cases:
+            assert eig._symmetric(m) == reference(m) == symmetric
+
     def test_residuals(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((30, 30))

@@ -88,6 +88,24 @@ class TestSampling:
         b = sample_sbm(SbmParams(n=60, p=0.3, q=0.1, seed=8))
         assert not np.array_equal(a.edges, b.edges)
 
+    @pytest.mark.parametrize("n", [4, 6, 16, 350, 800])
+    @pytest.mark.parametrize("p, q", [(0.3, 0.1), (0.1, 0.3), (0.2, 0.2)],
+                             ids=["p>q", "p<q", "p=q"])
+    def test_edges_equal_the_triu_indices_sampler(self, n, p, q):
+        def reference(params):
+            # one uniform per pair of np.triu_indices, thresholded by block
+            rng = np.random.Generator(np.random.PCG64(params.seed))
+            iu, ju = np.triu_indices(params.n, k=1)
+            u = rng.random(iu.size)
+            half = params.n // 2
+            thresh = np.where((iu < half) == (ju < half), params.p, params.q)
+            keep = u < thresh
+            return np.column_stack((iu[keep], ju[keep]))
+
+        for seed in (0, 1, 7, 12345):
+            params = SbmParams(n=n, p=p, q=q, seed=seed)
+            assert np.array_equal(sample_sbm(params).edges, reference(params))
+
     def test_dense_limit_is_complete(self):
         g = sample_sbm(SbmParams(n=4, p=1 - 1e-12, q=1 - 1e-12, seed=0))
         assert g.num_edges == 6
