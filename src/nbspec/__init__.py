@@ -21,7 +21,7 @@ from .operators import (
     build_K,
     build_K0,
 )
-from .eig import Spectrum, eigs_general, eigs_symmetric, match_spectra, quadratic_roots
+from .eig import eigs_general, eigs_symmetric, match_spectra, quadratic_roots
 from .qep import (
     QepBoundReport,
     cluster_certificate,
@@ -33,7 +33,6 @@ from .qep import (
 from .analysis import (
     ClassificationReport,
     CommunityResult,
-    EsdReport,
     classify_spectrum,
     estimate_stats,
     ihara_bass_check,

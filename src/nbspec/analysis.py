@@ -8,8 +8,8 @@ from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .eig import Spectrum, eigs_general, eigs_symmetric, match_spectra
-from .graphgen import DegreeStats, Graph
+from .eig import eigs_general, eigs_symmetric, match_spectra
+from .graphgen import DegreeStats, Graph, InvalidParameters
 from .operators import (
     QepPair,
     bethe_hessian,
@@ -21,7 +21,6 @@ from .qep import qep_bound, spectral_norm
 
 __all__ = [
     "ClassificationReport",
-    "EsdReport",
     "CommunityResult",
     "classify_spectrum",
     "ihara_bass_check",
@@ -89,14 +88,6 @@ class ClassificationReport:
 
 
 @dataclass(frozen=True)
-class EsdReport:
-    """Kolmogorov-Smirnov fit of a rescaled empirical spectrum to a semicircle law."""
-
-    radius: float  # semicircle support [-radius, radius]
-    ks_distance: float
-
-
-@dataclass(frozen=True)
 class CommunityResult:
     r: float
     negative_eigenvalue_count: int
@@ -119,7 +110,7 @@ def _quantile(ranked: np.ndarray, q: float) -> float:
 
 
 def classify_spectrum(
-    spec: Spectrum,
+    spec: np.ndarray,
     stats: DegreeStats,
     tau: float = 0.25,
 ) -> ClassificationReport:
@@ -134,11 +125,11 @@ def classify_spectrum(
     """
     alpha, beta, gamma = stats.alpha, stats.beta, stats.gamma
     if gamma <= 0:
-        raise ValueError("classification requires alpha > 1")
+        raise InvalidParameters("classification requires alpha > 1")
     root_g = math.sqrt(gamma)
     imag_tol = 1e-8 * math.sqrt(alpha)
 
-    values = spec.values
+    values = np.asarray(spec, dtype=complex)
     is_real = np.abs(values.imag) <= imag_tol
     mod = np.abs(values)
     out_mask = is_real & (mod > (1 + tau) * root_g)
@@ -222,7 +213,7 @@ class PoolGraph:
     """A graph of an invariant-check pool with its Spec(H), solved once for every check."""
 
     graph: Graph
-    spec_h: Spectrum
+    spec_h: np.ndarray
 
 
 def with_h_spectra(graphs: Iterable[Graph]) -> List[PoolGraph]:
@@ -259,7 +250,7 @@ def check_eigenvalue_one(pool: Sequence[PoolGraph]) -> dict:
     """1 is an eigenvalue of H, to 1e-8, on every graph."""
 
     def row(p: PoolGraph) -> Tuple[bool, float]:
-        gap = float(np.min(np.abs(p.spec_h.values - 1.0)))
+        gap = float(np.min(np.abs(p.spec_h - 1.0)))
         return gap <= 1e-8, gap
 
     return _verdict(map(row, pool), "max_gap")
@@ -270,7 +261,7 @@ def check_reciprocity(pool: Sequence[PoolGraph]) -> dict:
 
     def row(p: PoolGraph) -> Tuple[bool, float]:
         spec_k = eigs_general(build_K(p.graph).matrix)
-        return match_spectra(spec_k.values, 1.0 / p.spec_h.values, tolerance=1e-6)
+        return match_spectra(spec_k, 1.0 / p.spec_h, tolerance=1e-6)
 
     return _verdict((row(p) for p in pool if p.graph.min_degree() >= 2), "max_gap")
 
@@ -316,24 +307,19 @@ def ks_distance(sample: np.ndarray, cdf_values: np.ndarray) -> float:
     return float(max(upper, lower))
 
 
-def semicircle_ks(spec: Spectrum, mode: str, stats: DegreeStats) -> EsdReport:
-    """KS distance of a rescaled spectrum to the semicircle law.
+def semicircle_ks(spec: np.ndarray, mode: str, stats: DegreeStats) -> float:
+    """Kolmogorov-Smirnov distance of a rescaled spectrum to the semicircle law.
 
     mode "A-spectrum": Spec(A)/sqrt(alpha) against the semicircle on [-2, 2].
     mode "H-real-parts": Re(Spec)/sqrt(alpha) of a 2n x 2n linearization
     spectrum against the semicircle on [-1, 1] (each adjacency eigenvalue
     contributes its half twice).
     """
-    if mode == "A-spectrum":
-        radius = 2.0
-        sample = np.sort(spec.values.real / math.sqrt(stats.alpha))
-    elif mode == "H-real-parts":
-        radius = 1.0
-        sample = np.sort(spec.values.real / math.sqrt(stats.alpha))
-    else:
+    radius = {"A-spectrum": 2.0, "H-real-parts": 1.0}.get(mode)
+    if radius is None:
         raise ValueError(f"unknown mode {mode!r}")
-    ks = ks_distance(sample, semicircle_cdf(sample, radius))
-    return EsdReport(radius=radius, ks_distance=ks)
+    sample = np.sort(np.real(spec) / math.sqrt(stats.alpha))
+    return ks_distance(sample, semicircle_cdf(sample, radius))
 
 
 def estimate_stats(graph: Graph) -> DegreeStats:
@@ -344,11 +330,10 @@ def estimate_stats(graph: Graph) -> DegreeStats:
     """
     alpha = float(graph.degrees.mean())
     if alpha <= 1:
-        raise ValueError("graph too sparse to estimate spectral statistics")
-    vals = eigs_symmetric(graph.adjacency()).values.real
-    lam2 = float(np.sort(vals)[-2])
+        raise InvalidParameters("graph too sparse to estimate spectral statistics")
+    lam2 = float(eigs_symmetric(graph.adjacency())[-2])
     beta = lam2 if lam2 > 2.0 * math.sqrt(alpha) else None
-    return DegreeStats(alpha=alpha, beta=beta, gamma=alpha - 1.0)
+    return DegreeStats(alpha=alpha, beta=beta)
 
 
 def recover_communities(
@@ -368,8 +353,8 @@ def recover_communities(
         if stats.beta is None or stats.beta <= 0:
             raise ValueError("recovery needs beta > 0 (two distinguishable blocks)")
         r = stats.alpha / stats.beta
-    spectrum, vectors = eigs_symmetric(bethe_hessian(graph, r), with_vectors=True)
-    neg_count = int(np.count_nonzero(spectrum.values.real < 0))
+    values, vectors = eigs_symmetric(bethe_hessian(graph, r), with_vectors=True)
+    neg_count = int(np.count_nonzero(values < 0))
     signs = np.where(vectors[:, 1] >= 0, 1, -1)
     planted = np.where(graph.labels == 0, 1, -1)
     agree = float(np.mean(signs == planted))
@@ -381,7 +366,7 @@ def recover_communities(
 
 
 def write_spectrum_svg(
-    spec: Spectrum,
+    spec: np.ndarray,
     radius: float,
     fh: TextIO,
     size: int = 640,
@@ -391,7 +376,7 @@ def write_spectrum_svg(
     Self-contained SVG, no plotting dependency; coordinates scaled so the
     circle of the given radius fits with margin.
     """
-    vals = spec.values
+    vals = np.asarray(spec, dtype=complex)
     extent = max(float(np.abs(vals).max(initial=0.0)), radius) * 1.1 or 1.0
     half = size / 2.0
 

@@ -1,6 +1,7 @@
 """Command-line driver: sampling, spectra, classification, verification, bounds.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input, 3 numeric failure.
+Exit codes: 0 success, 1 verification failure, 2 bad input, 3 numeric failure,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional, TextIO, Tuple
 
 import numpy as np
 
 from . import analysis, operators, qep
-from .eig import EigenSolveError, Spectrum, eigs_general, eigs_symmetric, single_blas_thread
+from .eig import EigenSolveError, eigs_general, eigs_symmetric, single_blas_thread
 from .graphgen import (
     DegreeStats,
     Graph,
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 def _thread_cap() -> Optional[int]:
@@ -92,10 +94,10 @@ def resolve_graph(args) -> Tuple[Graph, DegreeStats, Optional[SbmParams]]:
     if preset:
         if preset == "k3":
             g = complete_graph(3)
-            return g, DegreeStats(alpha=2.0, beta=None, gamma=1.0), None
+            return g, DegreeStats(alpha=2.0, beta=None), None
         if preset == "k4":
             g = complete_graph(4)
-            return g, DegreeStats(alpha=3.0, beta=None, gamma=2.0), None
+            return g, DegreeStats(alpha=3.0, beta=None), None
         if preset.startswith("regular:"):
             try:
                 d, n = map(int, preset.split(":", 1)[1].split(","))
@@ -104,7 +106,7 @@ def resolve_graph(args) -> Tuple[Graph, DegreeStats, Optional[SbmParams]]:
                     f"bad preset {preset!r}, expected regular:d,n with integers d and n"
                 ) from None
             g = _regular_graph(d, n)
-            return g, DegreeStats(alpha=float(d), beta=None, gamma=float(d) - 1), None
+            return g, DegreeStats(alpha=float(d), beta=None), None
         if preset in ("fig1-left", "fig1-right"):
             params = fig1_params(preset.split("-")[1], seed=args.seed)
             g = sample_sbm(params)
@@ -118,8 +120,7 @@ def resolve_graph(args) -> Tuple[Graph, DegreeStats, Optional[SbmParams]]:
             raise InvalidParameters(f"cannot read {args.input}: {exc.strerror}") from None
         if 2 * g.num_edges <= g.n:  # mean degree 2m/n <= 1, or no vertices
             raise InvalidParameters("graph too sparse for analysis (mean degree <= 1)")
-        mean_deg = float(g.degrees.mean())
-        return g, DegreeStats(alpha=mean_deg, beta=None, gamma=mean_deg - 1), None
+        return g, DegreeStats(alpha=float(g.degrees.mean()), beta=None), None
     if args.n is None or args.p is None or args.q is None:
         raise InvalidParameters("provide --preset, --input, or all of --n --p --q")
     params = SbmParams(n=args.n, p=args.p, q=args.q, seed=args.seed)
@@ -152,24 +153,31 @@ def cmd_sample(args) -> int:
     path = out / "graph.edgelist"
     with open(path, "w") as fh:
         write_edge_list(graph, fh, params)
-    filled = degree_concentration(graph, stats)
+    max_deviation, relative_deviation, concentrated = degree_concentration(graph, stats)
     summary = {
         "config": _config_dict(args, params),
         "n": graph.n,
         "edges": graph.num_edges,
         "alpha": stats.alpha,
         "beta": stats.beta,
-        "max_deviation": filled.max_deviation,
-        "relative_deviation": filled.relative_deviation,
-        "concentrated": filled.concentrated,
+        "max_deviation": max_deviation,
+        "relative_deviation": relative_deviation,
+        "concentrated": concentrated,
         "edge_list": str(path),
     }
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
-def _h_spectrum(graph: Graph) -> Spectrum:
+def _h_spectrum(graph: Graph) -> np.ndarray:
     return eigs_general(operators.build_H(graph).matrix)
+
+
+def _write_csv(values: np.ndarray, fh: TextIO) -> None:
+    """A spectrum as `re,im` rows, ascending by (real, imag), floats to 17 digits."""
+    fh.write("re,im\n")
+    for z in sorted(values, key=lambda z: (z.real, z.imag)):
+        fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
 
 
 def cmd_spectrum(args) -> int:
@@ -177,7 +185,7 @@ def cmd_spectrum(args) -> int:
     out = _outdir(args)
     spec_h = _h_spectrum(graph)
     with open(out / "spectrum_H.csv", "w") as fh:
-        spec_h.write_csv(fh)
+        _write_csv(spec_h, fh)
     doc = {
         "config": _config_dict(args, params),
         "n": graph.n,
@@ -190,7 +198,7 @@ def cmd_spectrum(args) -> int:
     if 2 * graph.num_edges <= args.dense_cap:
         spec_b = eigs_general(operators.build_B(graph, dense_cap=args.dense_cap))
         with open(out / "spectrum_B.csv", "w") as fh:
-            spec_b.write_csv(fh)
+            _write_csv(spec_b, fh)
         doc["spectrum_B_csv"] = str(out / "spectrum_B.csv")
         doc["dim_B"] = len(spec_b)
         doc["trivial_multiplicity"] = graph.num_edges - graph.n
@@ -265,11 +273,8 @@ def _semicircle_check(seed: int) -> dict:
     """KS distance of Spec(A) to the semicircle on a fig1-right graph, n=800."""
     params = fig1_params("right", n=800, seed=seed)
     spec_a = eigs_symmetric(sample_sbm(params).adjacency())
-    esd = analysis.semicircle_ks(spec_a, "A-spectrum", expected_stats(params))
-    return {
-        "status": "pass" if esd.ks_distance <= 0.06 else "fail",
-        "ks_distance": esd.ks_distance,
-    }
+    ks = analysis.semicircle_ks(spec_a, "A-spectrum", expected_stats(params))
+    return {"status": "pass" if ks <= 0.06 else "fail", "ks_distance": ks}
 
 
 def _verify_suite(args) -> dict:
@@ -364,12 +369,15 @@ def main(argv=None) -> int:
         # one OpenBLAS thread per task: pools, not BLAS threads, use the cores
         with single_blas_thread() as args.pinned:
             return handlers[args.command](args)
-    except (InvalidParameters, operators.DegreeTooSmallError, ValueError) as exc:
+    except (InvalidParameters, operators.DegreeTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (EigenSolveError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as exc:  # a fault of nbspec, not of its input: one line, no traceback
+        print(" ".join(f"internal error: {type(exc).__name__}: {exc}".split()), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

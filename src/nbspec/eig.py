@@ -6,13 +6,11 @@ import ctypes
 import functools
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, TextIO, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 __all__ = [
-    "Spectrum",
     "EigenSolveError",
     "NotSymmetricError",
     "eigs_symmetric",
@@ -29,29 +27,6 @@ class EigenSolveError(RuntimeError):
 
 class NotSymmetricError(ValueError):
     """Matrix handed to the symmetric solver is not symmetric."""
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """A multiset of eigenvalues.
-
-    ``values`` is a complex array; for a symmetric source all entries are
-    real.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-        self.values.setflags(write=False)
-
-    def __len__(self):
-        return self.values.size
-
-    def write_csv(self, fh: TextIO):
-        fh.write("re,im\n")
-        for z in sorted(self.values, key=lambda z: (z.real, z.imag)):
-            fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
@@ -73,11 +48,17 @@ def _symmetric(m: np.ndarray) -> bool:
     return bool(gap.max() <= 1e-12 * max(m.max(), -m.min()))
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values``, made read-only: every spectrum is returned that way."""
+    values.setflags(write=False)
+    return values
+
+
 def eigs_symmetric(m: np.ndarray, with_vectors: bool = False):
-    """Spectrum of a symmetric real matrix, values ascending.
+    """Eigenvalues of a symmetric real matrix: a read-only float64 array, ascending.
 
     Symmetry is enforced to 1e-12 relative (``_symmetric``).  With
-    ``with_vectors`` returns (Spectrum, eigenvector matrix) with columns
+    ``with_vectors`` returns (values, eigenvector matrix) with columns
     matching the sorted values.
     """
     m = _check_square(m)
@@ -85,16 +66,17 @@ def eigs_symmetric(m: np.ndarray, with_vectors: bool = False):
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative")
     if with_vectors:
         w, v = np.linalg.eigh(m)
-        return Spectrum(w), v
-    return Spectrum(np.linalg.eigvalsh(m))
+        return _read_only(w), v
+    return _read_only(np.linalg.eigvalsh(m))
 
 
-def eigs_general(m: np.ndarray) -> Spectrum:
-    """Full complex spectrum of a general real square matrix.
+def eigs_general(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a general real square matrix: a read-only complex128 array.
 
-    Backed by the LAPACK dense path (balancing, Hessenberg reduction,
-    implicitly shifted QR).  A trace-consistency check guards against silent
-    breakage: sum of eigenvalues must match the trace to 1e-6 relative.
+    Complex even when every eigenvalue is real.  Backed by the LAPACK dense
+    path (balancing, Hessenberg reduction, implicitly shifted QR).  A
+    trace-consistency check guards against silent breakage: sum of
+    eigenvalues must match the trace to 1e-6 relative.
     """
     m = _check_square(m)
     try:
@@ -107,7 +89,7 @@ def eigs_general(m: np.ndarray) -> Spectrum:
         raise EigenSolveError(
             f"trace consistency violated: sum(eigs)={w.sum()!r} trace={tr!r}"
         )
-    return Spectrum(w)
+    return _read_only(w.astype(complex, copy=False))
 
 
 def _openblas_setters() -> tuple:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, TextIO
+from dataclasses import dataclass, field
+from typing import Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -96,20 +96,20 @@ class DegreeStats:
 
     alpha = n(p+q)/2 - p is the expected degree; beta = n(p-q)/2 - p the
     expected in-minus-out degree difference (None when p == q, where it is
-    undefined).  gamma = alpha - 1.  Deviation fields are filled by
-    ``degree_concentration``.
+    undefined).
     """
 
     alpha: float
     beta: Optional[float]
-    gamma: float
-    max_deviation: float = 0.0
-    relative_deviation: float = 0.0
-    concentrated: Optional[bool] = None
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise InvalidParameters(f"alpha must be positive, got {self.alpha}")
+
+    @property
+    def gamma(self) -> float:
+        """alpha - 1, the squared radius of the bulk circle."""
+        return self.alpha - 1.0
 
 
 def expected_stats(params: SbmParams) -> DegreeStats:
@@ -126,7 +126,7 @@ def expected_stats(params: SbmParams) -> DegreeStats:
         beta = n * (q - p) / 2 + p
     else:
         beta = None
-    return DegreeStats(alpha=alpha, beta=beta, gamma=alpha - 1.0)
+    return DegreeStats(alpha=alpha, beta=beta)
 
 
 def sample_sbm(params: SbmParams) -> Graph:
@@ -196,21 +196,17 @@ def fig1_params(which: str, n: int = 1000, seed: int = 1) -> SbmParams:
 
 def degree_concentration(
     graph: Graph, stats: DegreeStats, threshold: float = 0.3
-) -> DegreeStats:
-    """Fill the degree-deviation fields of ``stats`` from an actual graph.
+) -> Tuple[float, float, bool]:
+    """(max_deviation, relative_deviation, concentrated) of a graph's degrees.
 
-    Flags ``concentrated`` when max_i |d_i - alpha| <= threshold * alpha.
+    max_deviation = max_i |d_i - alpha|, relative_deviation divides it by
+    alpha, and concentrated is relative_deviation <= threshold.
     """
     if graph.n == 0:
         raise InvalidParameters("graph must be nonempty")
     dev = float(np.max(np.abs(graph.degrees - stats.alpha)))
     rel = dev / stats.alpha
-    return replace(
-        stats,
-        max_deviation=dev,
-        relative_deviation=rel,
-        concentrated=bool(rel <= threshold),
-    )
+    return dev, rel, bool(rel <= threshold)
 
 
 def write_edge_list(graph: Graph, fh: TextIO, params: Optional[SbmParams] = None):

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import Spectrum, _symmetric, eigs_general, eigs_symmetric, quadratic_roots
-from .graphgen import DegreeStats, Graph
+from .eig import _read_only, _symmetric, eigs_general, eigs_symmetric, quadratic_roots
+from .graphgen import DegreeStats, Graph, InvalidParameters
 
 __all__ = [
     "QepPair",
@@ -85,8 +85,8 @@ class QepPair:
         scalar = np.abs(x - c * np.eye(x.shape[0])).max() <= 1e-12 * max(abs(c), 1.0)
         return bool(scalar) and self.a_symmetric
 
-    def spectrum(self) -> Spectrum:
-        """The 2n eigenvalues of ``matrix``.
+    def spectrum(self) -> np.ndarray:
+        """The 2n eigenvalues of ``matrix``, a read-only complex128 array.
 
         For ``symmetric_scalar`` blocks they come in closed form from one
         symmetric eigensolve of A: the two roots of z^2 - lambda z - c for
@@ -95,9 +95,8 @@ class QepPair:
         """
         if not self.symmetric_scalar:
             return eigs_general(self.matrix)
-        lam = eigs_symmetric(self.a_block).values.real
-        r1, r2 = quadratic_roots(lam, self.x_block[0, 0])
-        return Spectrum(np.column_stack((r1, r2)).ravel())
+        r1, r2 = quadratic_roots(eigs_symmetric(self.a_block), self.x_block[0, 0])
+        return _read_only(np.column_stack((r1, r2)).ravel())
 
 
 def build_B(graph: Graph, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
@@ -134,7 +133,7 @@ def build_H0(graph: Graph, stats: DegreeStats) -> QepPair:
     z^2 - lambda z + gamma = 0.
     """
     if stats.gamma <= 0:
-        raise ValueError(f"requires alpha > 1, got alpha = {stats.alpha}")
+        raise InvalidParameters(f"requires alpha > 1, got alpha = {stats.alpha}")
     a = graph.adjacency()
     x = -stats.gamma * np.eye(graph.n)
     return QepPair(a, x)
@@ -158,7 +157,7 @@ def build_K(graph: Graph) -> QepPair:
 def build_K0(graph: Graph, stats: DegreeStats) -> QepPair:
     """[[ A/(alpha-1), -I/(alpha-1) ], [I, 0]]; same spectrum as H0^-1."""
     if stats.gamma <= 0:
-        raise ValueError(f"requires alpha > 1, got alpha = {stats.alpha}")
+        raise InvalidParameters(f"requires alpha > 1, got alpha = {stats.alpha}")
     a = graph.adjacency() / stats.gamma
     x = -np.eye(graph.n) / stats.gamma
     return QepPair(a, x)

@@ -17,7 +17,6 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .eig import Spectrum
 from .operators import QepPair
 
 __all__ = [
@@ -46,8 +45,12 @@ class QepBoundReport:
 
     kappa: ClassVar[float] = 1.0  # kappa(P) of the orthogonal P of a symmetric_scalar reference
     per_mu: List[Tuple[complex, float, complex, float]]  # (mu, eps(mu), nu, |mu-nu|)
-    epsilon_global: float
     norm_methods: Tuple[str, ...]  # per row: "diagonal", "gram" or "envelope"
+
+    @property
+    def epsilon_global(self) -> float:
+        """The largest eps(mu), 0.0 when there are no rows."""
+        return max((eps for _, eps, _, _ in self.per_mu), default=0.0)
 
     def all_within_bound(self) -> bool:
         return all(dist <= eps for _, eps, _, dist in self.per_mu)
@@ -153,8 +156,10 @@ class _Gram:
                                m[(right == r) & (upper == u)]) for r in (0, 1) for u in (0, 1)]
                     continue
                 wx, wy = (x[m] - x0) / (x1 - x0), (y[m] - y0) / (y1 - y0)
-                weight = np.stack([(1 - wx) * (1 - wy), (1 - wx) * wy, wx * (1 - wy), wx * wy])
-                norms[m] = corner @ weight + _gamma(48) * corner.max()
+                weight = [(1 - wx) * (1 - wy), (1 - wx) * wy, wx * (1 - wy), wx * wy]
+                # elementwise, so equal (Re mu, |Im mu|) get equal bounds wherever they
+                # sit in mus: a matrix product's rounding depends on the position
+                norms[m] = sum(c * w for c, w in zip(corner, weight)) + _gamma(48) * corner.max()
                 crowded[m] = True
         norms[~crowded] = self.exact(mus[~crowded])
         return norms, np.where(crowded, "envelope", "gram")
@@ -253,8 +258,8 @@ def _check_reference(pair: QepPair) -> None:
 def qep_bound(
     l0: QepPair,
     l: QepPair,
-    spec0: Optional[Spectrum] = None,
-    spec: Optional[Spectrum] = None,
+    spec0: Optional[np.ndarray] = None,
+    spec: Optional[np.ndarray] = None,
 ) -> QepBoundReport:
     """Per-eigenvalue radii eps(mu) = sqrt(||E(mu)||) and nearest-reference matching.
 
@@ -285,18 +290,16 @@ def qep_bound(
         spec0 = l0.spectrum()
     if spec is None:
         spec = l.spectrum()
-    mus = np.asarray(spec.values, dtype=complex)
+    mus = np.asarray(spec, dtype=complex)
     norms, methods = _norms(l0.x_block - l.x_block, l0.a_block - l.a_block, mus)
-    nus = spec0.values
+    nus = np.asarray(spec0, dtype=complex)
     per_mu = []
     for mu, norm in zip(mus, norms):
         eps = float(np.sqrt(norm))
         gaps = np.abs(nus - mu)
         k = int(gaps.argmin())
         per_mu.append((complex(mu), eps, complex(nus[k]), float(gaps[k])))
-    eps_global = max((eps for _, eps, _, _ in per_mu), default=0.0)
-    return QepBoundReport(per_mu=per_mu, epsilon_global=eps_global,
-                          norm_methods=tuple(methods.tolist()))
+    return QepBoundReport(per_mu=per_mu, norm_methods=tuple(methods.tolist()))
 
 
 def corollary_bound(a: np.ndarray, x_block: np.ndarray, y_block: np.ndarray) -> float:
@@ -306,8 +309,8 @@ def corollary_bound(a: np.ndarray, x_block: np.ndarray, y_block: np.ndarray) -> 
 
 
 def cluster_certificate(
-    spec0: Spectrum,
-    spec: Spectrum,
+    spec0: np.ndarray,
+    spec: np.ndarray,
     epsilon: float,
     k_subset: Sequence[int],
 ) -> Tuple[int, int, bool]:
@@ -320,7 +323,7 @@ def cluster_certificate(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    nus = spec0.values
+    nus = np.asarray(spec0, dtype=complex)
     sel = np.zeros(nus.size, dtype=bool)
     sel[list(k_subset)] = True
     expected = int(sel.sum())
@@ -329,7 +332,7 @@ def cluster_certificate(
         separated = bool(gap > 2 * epsilon)
     else:
         separated = True
-    inside = np.abs(spec.values[:, None] - nus[sel][None, :]).min(axis=1) <= epsilon \
+    inside = np.abs(np.asarray(spec)[:, None] - nus[sel][None, :]).min(axis=1) <= epsilon \
         if expected else np.zeros(len(spec), dtype=bool)
     observed = int(np.count_nonzero(inside))
     return expected, observed, separated

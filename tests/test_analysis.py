@@ -22,9 +22,10 @@ from nbspec.analysis import (
     with_h_spectra,
     write_spectrum_svg,
 )
-from nbspec.eig import Spectrum, eigs_general, eigs_symmetric
+from nbspec.eig import eigs_general, eigs_symmetric
 from nbspec.graphgen import (
     DegreeStats,
+    InvalidParameters,
     SbmParams,
     circulant,
     er_pool,
@@ -64,7 +65,7 @@ class TestClassify:
 
     def test_regular_graph_degenerate_case(self):
         g = circulant(12, [1, 2])  # 4-regular: Spec(H) roots of z^2 - lam z + 3
-        stats = DegreeStats(alpha=4.0, beta=None, gamma=3.0)
+        stats = DegreeStats(alpha=4.0, beta=None)
         spec = eigs_general(build_H(g).matrix)
         report = classify_spectrum(spec, stats)
         # single outlier at d-1 = 3 and single insider at 1
@@ -80,11 +81,11 @@ class TestClassify:
         for g in er_pool(5, n=14, p=0.6, start_seed=11, min_degree=2):
             spec = eigs_general(build_H(g).matrix)
             dmin, dmax = g.degrees.min(), g.degrees.max()
-            cplx = spec.values[np.abs(spec.values.imag) > 1e-7]
+            cplx = spec[np.abs(spec.imag) > 1e-7]
             if cplx.size:
                 assert np.all(np.abs(cplx) >= math.sqrt(dmin - 1) - 1e-7)
                 assert np.all(np.abs(cplx) <= math.sqrt(dmax - 1) + 1e-7)
-            real = spec.values[np.abs(spec.values.imag) <= 1e-7]
+            real = spec[np.abs(spec.imag) <= 1e-7]
             assert np.all(np.abs(real) >= 1 - 1e-7)
             assert np.all(np.abs(real) <= dmax - 1 + 1e-7)
 
@@ -92,7 +93,7 @@ class TestClassify:
         _, stats = fig1_instance
         spec_h, spec_k = fig1_spectra
         rep_h = classify_spectrum(spec_h, stats)
-        rep_k = classify_spectrum(Spectrum(1 / spec_k.values), stats)
+        rep_k = classify_spectrum(1 / spec_k, stats)
         for (v1, t1, _), (v2, t2, _) in zip(
             sorted(rep_h.insiders), sorted(rep_k.insiders)
         ):
@@ -101,10 +102,8 @@ class TestClassify:
         assert len(rep_h.outliers) == len(rep_k.outliers)
 
     def test_rejects_alpha_at_most_one(self):
-        with pytest.raises(ValueError):
-            classify_spectrum(
-                Spectrum(np.array([1.0])), DegreeStats(alpha=1.0, beta=None, gamma=0.0)
-            )
+        with pytest.raises(InvalidParameters):
+            classify_spectrum(np.array([1.0]), DegreeStats(alpha=1.0, beta=None))
 
 
 def test_bulk_quantiles_equal_numpys():
@@ -223,24 +222,26 @@ class TestSemicircle:
     def test_mode_a_fig1(self, fig1_instance):
         g, stats = fig1_instance
         spec = eigs_symmetric(g.adjacency())
-        esd = semicircle_ks(spec, "A-spectrum", stats)
-        assert esd.radius == 2.0
-        assert esd.ks_distance <= 0.05
+        ks = semicircle_ks(spec, "A-spectrum", stats)
+        sample = np.sort(spec / math.sqrt(stats.alpha))
+        assert ks == ks_distance(sample, semicircle_cdf(sample, 2.0))  # on [-2, 2]
+        assert ks <= 0.05
 
     def test_mode_h_real_parts_matches_mode_a(self, fig1_instance):
         # H0 real parts are the adjacency eigenvalues halved, two copies each
         g, stats = fig1_instance
         spec_a = eigs_symmetric(g.adjacency())
         spec_h0 = build_H0(g, stats).spectrum()
-        esd_a = semicircle_ks(spec_a, "A-spectrum", stats)
-        esd_h = semicircle_ks(spec_h0, "H-real-parts", stats)
-        assert esd_h.radius == 1.0
-        assert esd_h.ks_distance == pytest.approx(esd_a.ks_distance, abs=5e-3)
+        ks_a = semicircle_ks(spec_a, "A-spectrum", stats)
+        ks_h = semicircle_ks(spec_h0, "H-real-parts", stats)
+        sample = np.sort(spec_h0.real / math.sqrt(stats.alpha))
+        assert ks_h == ks_distance(sample, semicircle_cdf(sample, 1.0))  # on [-1, 1]
+        assert ks_h == pytest.approx(ks_a, abs=5e-3)
 
     def test_unknown_mode(self, fig1_instance):
         _, stats = fig1_instance
         with pytest.raises(ValueError):
-            semicircle_ks(Spectrum(np.array([0.0])), "nope", stats)
+            semicircle_ks(np.array([0.0]), "nope", stats)
 
 
 class TestRecovery:
@@ -289,7 +290,7 @@ class TestEstimate:
 
 class TestSvg:
     def test_emits_scatter_and_circle(self):
-        spec = Spectrum(np.array([1 + 1j, -2.0, 0.5j]))
+        spec = np.array([1 + 1j, -2.0, 0.5j])
         buf = io.StringIO()
         write_spectrum_svg(spec, radius=1.5, fh=buf)
         text = buf.getvalue()

@@ -278,6 +278,40 @@ class TestBadInput:
         assert err.startswith(expected) and err.count("\n") == 1
 
 
+class TestExitCodes:
+    """2 only for bad input; a fault of nbspec itself exits 4 with one line."""
+
+    def test_internal_value_error_is_not_bad_input(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("spectra sizes differ: 1 vs 2")
+
+        monkeypatch.setattr(analysis, "match_spectra", broken)
+        code = main(["verify", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "internal error: ValueError: spectra sizes differ: 1 vs 2\n"
+
+    def test_runtime_error_is_one_line_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(pool):
+            raise RuntimeError("injected\nsecond line")
+
+        monkeypatch.setattr(analysis, "check_eigenvalue_one", broken)
+        code = main(["verify", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "internal error: RuntimeError: injected second line\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["bound", "--pair", "H"], ["bound", "--pair", "K"],
+    ], ids=["classify", "bound-H", "bound-K"])
+    def test_alpha_at_most_one_is_bad_input(self, tmp_path, capsys, argv):
+        # regular:1,4 is a perfect matching: alpha = 1
+        code = main([*argv, "--preset", "regular:1,4", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "alpha > 1" in err and err.count("\n") == 1
+
+
 class TestBound:
     def test_regular_graph_zero_radius(self, tmp_path, capsys):
         code, out = run(capsys, "bound", "--preset", "regular:4,12", "--pair", "H",
@@ -405,7 +439,8 @@ class TestBlasThreads:
         assert main([*argv, "--out", str(tmp_path)]) == expected
         assert self._counts(setters) == [2] * len(setters)
 
-    def test_count_restored_after_error_on_verify_worker(self, tmp_path, monkeypatch, setters):
+    def test_count_restored_after_error_on_verify_worker(self, tmp_path, capsys, monkeypatch,
+                                                         setters):
         inside = []
 
         def broken(pool):
@@ -414,8 +449,8 @@ class TestBlasThreads:
 
         monkeypatch.delenv("NBSPEC_THREADS", raising=False)
         monkeypatch.setattr(analysis, "check_det_identity", broken)
-        with pytest.raises(RuntimeError, match="injected"):
-            main(["verify", "--out", str(tmp_path)])
+        assert main(["verify", "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: injected\n"
         assert inside == [[1] * len(setters)]
         assert self._counts(setters) == [2] * len(setters)
 
@@ -460,13 +495,19 @@ def test_bench_per_layer_names_are_public_functions():
 
 
 class TestBenchCommandLines:
-    """The command lines of the benchmark's ops, on its small warm-up graphs."""
+    """The command lines of the benchmark's ops: the warm-up ops and each workload's first op."""
 
     @pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
     def test_warmup_op_passes_its_check(self, tmp_path, capsys, workload):
         op = BENCH.WORKLOADS[workload].warmup(1)
         code, out = run(capsys, *op.argv, "--out", str(tmp_path))
         assert code == 0
+        assert op.check(code, out, tmp_path) is None
+
+    @pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
+    def test_first_op_passes_its_check(self, tmp_path, capsys, workload):
+        op = BENCH.WORKLOADS[workload].op(1, 0)
+        code, out = run(capsys, *op.argv, "--out", str(tmp_path))
         assert op.check(code, out, tmp_path) is None
 
     def test_fault_injected_verify(self, tmp_path, capsys):

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nbspec import eig, operators
+from nbspec import cli, eig, operators
 from nbspec.eig import (
     NotSymmetricError,
-    Spectrum,
     eigs_general,
     eigs_symmetric,
     match_spectra,
@@ -34,15 +33,15 @@ from nbspec.graphgen import (
 class TestSymmetric:
     def test_swap_matrix(self):
         spec = eigs_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(spec.values, [-1, 1])
+        assert np.allclose(spec, [-1, 1])
 
     def test_identity(self):
         spec = eigs_symmetric(np.eye(5))
-        assert np.allclose(spec.values, 1.0)
+        assert np.allclose(spec, 1.0)
 
     def test_k4_adjacency(self):
         spec = eigs_symmetric(complete_graph(4).adjacency())
-        assert np.allclose(spec.values.real, [-1, -1, -1, 3], atol=1e-10)
+        assert np.allclose(spec.real, [-1, -1, -1, 3], atol=1e-10)
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NotSymmetricError):
@@ -86,26 +85,26 @@ class TestSymmetric:
         m = (m + m.T) / 2
         spec, vecs = eigs_symmetric(m, with_vectors=True)
         norm = np.linalg.norm(m, 2)
-        for lam, v in zip(spec.values.real, vecs.T):
+        for lam, v in zip(spec.real, vecs.T):
             assert np.linalg.norm(m @ v - lam * v) <= 1e-8 * norm
 
 
 class TestGeneral:
     def test_rotation(self):
         spec = eigs_general(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        ok, gap = match_spectra(spec.values, [1j, -1j])
+        ok, gap = match_spectra(spec, [1j, -1j])
         assert ok, gap
 
     def test_companion_of_quadratic(self):
         # z^2 - 3z + 2 = (z-2)(z-1)
         spec = eigs_general(np.array([[3.0, -2.0], [1.0, 0.0]]))
-        ok, gap = match_spectra(spec.values, [2.0, 1.0])
+        ok, gap = match_spectra(spec, [2.0, 1.0])
         assert ok, gap
 
     def test_k4_h_closed_form(self):
         spec = eigs_general(build_H(complete_graph(4)).matrix)
         expected = [2, 1] + [complex(-0.5, s * math.sqrt(7) / 2) for s in (1, -1)] * 3
-        ok, gap = match_spectra(spec.values, expected)
+        ok, gap = match_spectra(spec, expected)
         assert ok, gap
 
     def test_agrees_with_symmetric(self):
@@ -114,13 +113,13 @@ class TestGeneral:
         m = (m + m.T) / 2
         s1 = eigs_symmetric(m)
         s2 = eigs_general(m)
-        ok, gap = match_spectra(s1.values, s2.values, tolerance=1e-8)
+        ok, gap = match_spectra(s1, s2, tolerance=1e-8)
         assert ok, gap
 
     def test_conjugation_closure(self):
         rng = np.random.default_rng(2)
         spec = eigs_general(rng.standard_normal((15, 15)))
-        ok, gap = match_spectra(spec.values, spec.values.conj(), tolerance=1e-8)
+        ok, gap = match_spectra(spec, spec.conj(), tolerance=1e-8)
         assert ok, gap
 
     def test_rejects_nonsquare(self):
@@ -199,7 +198,7 @@ def _closed_form_cases():
     return [
         ("fig1-right-n400", sample_sbm(fig1), expected_stats(fig1)),
         ("sbm-n30", sample_sbm(n30), expected_stats(n30)),
-        ("k4", complete_graph(4), DegreeStats(alpha=3.0, beta=None, gamma=2.0)),
+        ("k4", complete_graph(4), DegreeStats(alpha=3.0, beta=None)),
     ]
 
 
@@ -210,10 +209,10 @@ class TestH0ClosedForm:
         stats = expected_stats(params)
         spec_a = eigs_symmetric(g.adjacency())
         expected = []
-        for lam in spec_a.values.real:
+        for lam in spec_a.real:
             expected.extend(quadratic_roots(lam, -stats.gamma))
         spec_h0 = eigs_general(build_H0(g, stats).matrix)
-        ok, gap = match_spectra(spec_h0.values, expected, tolerance=1e-6)
+        ok, gap = match_spectra(spec_h0, expected, tolerance=1e-6)
         assert ok, gap
 
     def test_complex_values_on_circle(self):
@@ -221,7 +220,7 @@ class TestH0ClosedForm:
         g = sample_sbm(params)
         stats = expected_stats(params)
         spec = eigs_general(build_H0(g, stats).matrix)
-        complex_vals = spec.values[np.abs(spec.values.imag) > 1e-8]
+        complex_vals = spec[np.abs(spec.imag) > 1e-8]
         assert complex_vals.size > 0
         assert np.allclose(np.abs(complex_vals), math.sqrt(stats.gamma), atol=1e-8)
 
@@ -234,7 +233,7 @@ class TestH0ClosedForm:
         for pair, reference in zip(pairs, dense):
             closed = pair.spectrum()
             assert len(closed) == 2 * g.n
-            ok, gap = match_spectra(closed.values, reference.values, tolerance=1e-10)
+            ok, gap = match_spectra(closed, reference, tolerance=1e-10)
             assert ok, gap
 
     def test_double_roots_of_the_cycle(self):
@@ -243,11 +242,11 @@ class TestH0ClosedForm:
         # eigensolve is good to about sqrt(u) there, splitting each into a
         # pair 2e-8 apart, but the pair's centroid is good to O(u)
         g = circulant(10, [1])
-        stats = DegreeStats(alpha=2.0, beta=None, gamma=1.0)
+        stats = DegreeStats(alpha=2.0, beta=None)
         for build in (build_H0, build_K0):
             pair = build(g, stats)
-            closed = pair.spectrum().values
-            dense = eigs_general(pair.matrix).values
+            closed = pair.spectrum()
+            dense = eigs_general(pair.matrix)
             ok, gap = match_spectra(closed, dense, tolerance=1e-7)
             assert ok, gap
             for root in (1.0, -1.0):
@@ -270,24 +269,55 @@ class TestH0ClosedForm:
         ]
         for pair in pairs:
             assert not pair.symmetric_scalar
-            assert np.array_equal(pair.spectrum().values, eigs_general(pair.matrix).values)
+            assert np.array_equal(pair.spectrum(), eigs_general(pair.matrix))
         assert QepPair(sym, 1.5 * np.eye(6)).symmetric_scalar
 
 
+def _assert_read_only(values, dtype):
+    assert values.dtype == dtype and values.ndim == 1
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 0
+
+
 class TestSpectrumType:
+    """Spectra are plain read-only arrays: float64 from the symmetric solver, else complex128."""
+
     def test_cardinality(self):
         spec = eigs_general(np.eye(7))
         assert len(spec) == 7
 
+    def test_symmetric_values_are_read_only_floats(self):
+        values = eigs_symmetric(complete_graph(4).adjacency())
+        _assert_read_only(values, np.float64)
+        assert np.all(np.diff(values) >= 0)
+        values, vectors = eigs_symmetric(np.diag([2.0, -1.0]), with_vectors=True)
+        _assert_read_only(values, np.float64)
+        assert values.tolist() == [-1.0, 2.0] and vectors.shape == (2, 2)
+
+    def test_general_values_stay_complex_when_all_real(self):
+        values = eigs_general(np.diag([3.0, 1.0, 2.0]))
+        _assert_read_only(values, np.complex128)
+        assert sorted(values.tolist(), key=abs) == [1, 2, 3]
+
+    @pytest.mark.parametrize("pair", [
+        QepPair(np.diag([1.0, 3.0]), -0.5 * np.eye(2)),  # closed form, real roots
+        QepPair(np.array([[0.0, 1.0], [1.0, 0.0]]), -4.0 * np.eye(2)),  # closed form, complex
+        QepPair(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.5 * np.eye(2)),  # dense: A not symmetric
+    ], ids=["closed-real", "closed-complex", "dense"])
+    def test_pencil_spectrum_is_read_only_complex(self, pair):
+        values = pair.spectrum()
+        _assert_read_only(values, np.complex128)
+        assert values.size == 4
+
     def test_csv_round_trip(self, tmp_path):
-        spec = Spectrum(np.array([1 + 2j, -0.5, 3.25 - 1j]))
+        spec = np.array([1 + 2j, -0.5, 3.25 - 1j])
         path = tmp_path / "s.csv"
         with open(path, "w") as fh:
-            spec.write_csv(fh)
+            cli._write_csv(spec, fh)
         rows = path.read_text().strip().splitlines()
-        assert rows[0] == "re,im"
+        assert rows == ["re,im", "-0.5,0", "1,2", "3.25,-1"]  # ascending by (re, im)
         got = [complex(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows[1:]]
-        ok, gap = match_spectra(np.array(got), spec.values, tolerance=0)
+        ok, gap = match_spectra(np.array(got), spec, tolerance=0)
         assert ok
 
     def test_match_requires_equal_sizes(self):

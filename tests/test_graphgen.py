@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -56,6 +57,13 @@ class TestExpectedStats:
         assert stats.beta == pytest.approx(47.57393174532266, abs=1e-9)
         assert stats.alpha / stats.beta == pytest.approx(2.003009027081244, abs=1e-9)
         assert stats.gamma == stats.alpha - 1.0
+
+    @pytest.mark.parametrize("alpha, beta", [(2.0, None), (3.0, 1.5), (95.29101473962824, 47.5),
+                                             (0.5, None), (7.0 / 3.0, 0.1)])
+    def test_gamma_is_alpha_minus_one(self, alpha, beta):
+        stats = DegreeStats(alpha=alpha, beta=beta)
+        assert stats.gamma == alpha - 1.0
+        assert [f.name for f in dataclasses.fields(DegreeStats)] == ["alpha", "beta"]
 
     def test_erdos_renyi_beta_undefined(self):
         stats = expected_stats(SbmParams(n=100, p=0.3, q=0.3))
@@ -156,18 +164,18 @@ class TestSampling:
 class TestDegreeConcentration:
     def test_regular_graph_zero_deviation(self):
         g = circulant(12, [1, 2])
-        filled = degree_concentration(g, DegreeStats(alpha=4.0, beta=None, gamma=3.0))
-        assert filled.max_deviation == 0.0
-        assert filled.concentrated
+        max_deviation, _, concentrated = degree_concentration(g, DegreeStats(alpha=4.0, beta=None))
+        assert max_deviation == 0.0
+        assert concentrated
 
     def test_star_graph_not_concentrated(self):
         n = 20
         g = make_graph(n, [(0, j) for j in range(1, n)])
         mean_deg = 2 * g.num_edges / n
-        stats = DegreeStats(alpha=mean_deg, beta=None, gamma=mean_deg - 1)
-        filled = degree_concentration(g, stats)
-        assert filled.relative_deviation > 1.0
-        assert not filled.concentrated
+        stats = DegreeStats(alpha=mean_deg, beta=None)
+        _, relative_deviation, concentrated = degree_concentration(g, stats)
+        assert relative_deviation > 1.0
+        assert not concentrated
 
     def test_fig1_sweep_bernstein_threshold(self):
         # Bernstein tail evaluated numerically: solve
@@ -183,8 +191,8 @@ class TestDegreeConcentration:
         hits = 0
         for seed in range(20):
             g = sample_sbm(SbmParams(n=n, p=p, q=q, seed=seed))
-            filled = degree_concentration(g, stats, threshold=x / stats.alpha)
-            if filled.concentrated:
+            _, _, concentrated = degree_concentration(g, stats, threshold=x / stats.alpha)
+            if concentrated:
                 hits += 1
         assert hits >= 19
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from nbspec.analysis import check_qep_trials
-from nbspec.eig import Spectrum, eigs_general
+from nbspec.eig import eigs_general
 from nbspec.graphgen import (
     DegreeStats,
     SbmParams,
@@ -20,6 +21,7 @@ from nbspec import qep
 from nbspec.operators import QepPair, build_H, build_H0, build_K, build_K0
 from nbspec.qep import (
     NotQepDiagonalizableError,
+    QepBoundReport,
     cluster_certificate,
     corollary_bound,
     perturbation_norms,
@@ -86,7 +88,7 @@ class TestQepBound:
         h0 = build_H0(g, stats)
         h = build_H(g)
         eps = corollary_bound(h0.a_block, h0.x_block, h.x_block)
-        maxdev = degree_concentration(g, stats).max_deviation
+        maxdev, _, _ = degree_concentration(g, stats)
         assert eps == pytest.approx(math.sqrt(maxdev), rel=1e-6)
 
     def test_k4_regular_graph_zero_radius(self):
@@ -159,6 +161,13 @@ class TestQepBound:
         result = check_qep_trials(np.random.default_rng(42), 200)
         assert result == {"status": "pass", "trials": 200, "violations": 0}
 
+    def test_epsilon_global_is_the_largest_radius(self):
+        rng = np.random.default_rng(8)
+        report = qep_bound(*_random_pencils(rng, 5))
+        assert report.epsilon_global == max(eps for _, eps, _, _ in report.per_mu) > 0
+        assert [f.name for f in dataclasses.fields(QepBoundReport)] == ["per_mu", "norm_methods"]
+        assert QepBoundReport(per_mu=[], norm_methods=()).epsilon_global == 0.0
+
     def test_report_json_round_trip(self):
         rng = np.random.default_rng(7)
         l0, l1, _ = random_instance(rng, n=4)
@@ -205,7 +214,7 @@ def _k_pencils_with_zero_rows():
     """(K0, K) with gamma = d - 1 for the median degree d, so delta_i = 0 for every such vertex."""
     g = sample_sbm(SbmParams(n=100, p=0.28, q=0.1, seed=3))
     d = float(np.median(g.degrees))
-    k0, k = build_K0(g, DegreeStats(alpha=d, beta=None, gamma=d - 1.0)), build_K(g)
+    k0, k = build_K0(g, DegreeStats(alpha=d, beta=None)), build_K(g)
     assert np.any(np.diagonal(k0.x_block - k.x_block) == 0)
     return k0, k
 
@@ -273,7 +282,7 @@ class TestRadiiSoundness:
 
     def test_k_pencil_of_regular_graph(self):
         g = complete_graph(6)
-        stats = DegreeStats(alpha=5.0, beta=None, gamma=4.0)
+        stats = DegreeStats(alpha=5.0, beta=None)
         report = self._assert_sound_and_tight(build_K0(g, stats), build_K(g))
         assert report.epsilon_global == 0.0
 
@@ -323,7 +332,7 @@ class TestRadiiSoundness:
     def test_pencil_with_one_real_part_in_the_bulk(self):
         # the grid's width must not come from the rounding noise of Re mu
         l0, l1 = _shifted_a_pencils()
-        mus = l1.spectrum().values
+        mus = l1.spectrum()
         assert 0 < np.ptp(mus[mus.imag != 0].real) < 1e-14
         self._assert_envelope_covers(l0, l1)
 
@@ -345,6 +354,23 @@ class TestRadiiSoundness:
                 assert radius[mu.conjugate()] == eps
 
 
+@pytest.mark.parametrize("pencils", [
+    _complex_gram_pencils, lambda: _k_pencils(300007), lambda: _k_pencils(3),
+], ids=["complex-gram", "k-300007", "k-3"])
+def test_radii_independent_of_the_order_of_spec_l(pencils):
+    # each mu's radius, bit for bit, whatever position it holds in Spec(L)
+    l0, l1 = pencils()
+    spec0, spec = l0.spectrum(), l1.spectrum()
+    radii = [eps for _, eps, _, _ in qep_bound(l0, l1, spec0=spec0, spec=spec).per_mu]
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        order = rng.permutation(spec.size)
+        report = qep_bound(l0, l1, spec0=spec0, spec=spec[order])
+        permuted = np.empty(spec.size)
+        permuted[order] = [eps for _, eps, _, _ in report.per_mu]
+        assert permuted.tolist() == radii
+
+
 class TestPerturbationNorms:
     def _count_solves(self, monkeypatch, *args):
         calls = []
@@ -355,7 +381,7 @@ class TestPerturbationNorms:
 
     def test_one_solve_per_conjugate_class(self, monkeypatch):
         l0, l1 = _k_pencils()
-        mus = eigs_general(l1.matrix).values
+        mus = eigs_general(l1.matrix)
         solves = self._count_solves(
             monkeypatch, l0.x_block - l1.x_block, l0.a_block - l1.a_block, mus
         )
@@ -377,7 +403,7 @@ class TestPerturbationNorms:
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or solve(m))
         qep_bound(l0, l1, spec0=spec0, spec=spec)
-        classes = len({(mu.real, abs(mu.imag)) for mu in spec.values})
+        classes = len({(mu.real, abs(mu.imag)) for mu in spec})
         assert 0 < len(calls) < classes / 3
 
     def test_pencil_off_the_k_structure_takes_few_solves(self, monkeypatch):
@@ -388,7 +414,7 @@ class TestPerturbationNorms:
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or solve(m))
         qep_bound(l0, l1, spec0=spec0, spec=spec)
-        classes = len({(mu.real, abs(mu.imag)) for mu in spec.values})
+        classes = len({(mu.real, abs(mu.imag)) for mu in spec})
         assert 0 < len(calls) < classes / 3
 
     def test_h_pencil_takes_no_solve(self, monkeypatch):
@@ -410,17 +436,17 @@ class TestPerturbationNorms:
 
 class TestClusterCertificate:
     def test_trivial_singleton(self):
-        spec = Spectrum(np.array([0.0, 5.0, 10.0]))
+        spec = np.array([0.0, 5.0, 10.0])
         expected, observed, separated = cluster_certificate(spec, spec, 1e-12, [1])
         assert (expected, observed, separated) == (1, 1, True)
 
     def test_non_separation_is_reported(self):
-        spec = Spectrum(np.array([0.0, 1.0]))
+        spec = np.array([0.0, 1.0])
         expected, observed, separated = cluster_certificate(spec, spec, 0.6, [0])
         assert not separated
 
     def test_rejects_negative_epsilon(self):
-        spec = Spectrum(np.array([0.0]))
+        spec = np.array([0.0])
         with pytest.raises(ValueError):
             cluster_certificate(spec, spec, -1.0, [0])
 
@@ -431,6 +457,6 @@ class TestClusterCertificate:
         spec0 = h0.spectrum()
         spec, _ = fig1_spectra
         eps = corollary_bound(h0.a_block, h0.x_block, h.x_block)
-        k_top = [int(np.argmax(spec0.values.real))]
+        k_top = [int(np.argmax(spec0.real))]
         expected, observed, separated = cluster_certificate(spec0, spec, eps, k_top)
         assert (expected, observed, separated) == (1, 1, True)
