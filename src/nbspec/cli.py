@@ -79,6 +79,9 @@ def _check_args(args) -> None:
         raise InvalidParameters(f"--dense-cap must be non-negative, got {args.dense_cap}")
     if args.command in ("classify", "verify"):
         _thread_cap()  # raises on a malformed NBSPEC_THREADS
+    if hasattr(args, "preset") and sum((args.preset is not None, args.input is not None,
+                                        (args.n, args.p, args.q) != (None,) * 3)) > 1:
+        raise InvalidParameters("give only one graph source: --preset, --input or --n/--p/--q")
 
 
 def _regular_graph(d: int, n: int) -> Graph:
@@ -137,13 +140,12 @@ def _outdir(args) -> Path:
 
 
 def _config_dict(args, params: Optional[SbmParams]) -> dict:
-    """The seed, the graph's parameters, and the --tau/--dense-cap the command takes."""
+    """The seed, the graph's source, and the --tau/--dense-cap/--estimate the command takes."""
     doc = {"command": args.command, "seed": args.seed}
-    doc.update({key: getattr(args, key) for key in ("tau", "dense_cap") if hasattr(args, key)})
+    doc.update({k: v for k, v in vars(args).items() if k in ("tau", "dense_cap", "estimate")})
     if params is not None:
         doc.update({"n": params.n, "p": params.p, "q": params.q, "seed": params.seed})
-    if getattr(args, "preset", None):
-        doc["preset"] = args.preset
+    doc.update({k: v for k, v in vars(args).items() if k in ("preset", "input") and v})
     return doc
 
 
@@ -255,8 +257,8 @@ def cmd_bound(args) -> int:
 
 
 def _er_checks(args) -> dict:
-    """The five invariant checks on ten seeded ER graphs, each H spectrum solved once."""
-    pool = analysis.with_h_spectra(er_pool(10, n=16, p=0.4, start_seed=args.seed))
+    """The four pool checks on ten seeded ER graphs, and the QEP trials."""
+    pool = er_pool(10, n=16, p=0.4, start_seed=args.seed)
     ihara = analysis.check_ihara_bass(pool)
     if args.fault_inject:
         ihara = {"status": "fail", "max_gap": ihara["max_gap"] + 1.0}

@@ -19,7 +19,6 @@ from nbspec.analysis import (
     classify_spectrum,
     recover_communities,
     semicircle_ks,
-    with_h_spectra,
 )
 from nbspec.eig import eigs_general, eigs_symmetric, match_spectra
 from nbspec.graphgen import complete_graph, er_pool, expected_stats, fig1_params, sample_sbm
@@ -39,12 +38,12 @@ def _report(num, desc, ok):
 
 @pytest.fixture(scope="module")
 def er50():
-    # 50 seeded ER graphs, n <= 24, p = 0.4, min degree >= 1, each with Spec(H)
+    # 50 seeded ER graphs, n <= 24, p = 0.4, min degree >= 1
     pool = []
     for i, n in enumerate((16, 20, 24)):
         need = 17 if i < 2 else 16
         pool.extend(er_pool(need, n=n, p=0.4, start_seed=100 * i))
-    return with_h_spectra(pool)
+    return pool
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +103,7 @@ def test_criterion_3_determinant_identity(er50):
 
 
 def test_criterion_4_eigenvalue_one(er50):
-    connected = [p for p in er50 if _connected(p.graph)]
+    connected = [g for g in er50 if _connected(g)]
     result = check_eigenvalue_one(connected)
     _report(
         4,

@@ -19,7 +19,6 @@ from nbspec.analysis import (
     recover_communities,
     semicircle_cdf,
     semicircle_ks,
-    with_h_spectra,
     write_spectrum_svg,
 )
 from nbspec.eig import eigs_general, eigs_symmetric
@@ -32,7 +31,7 @@ from nbspec.graphgen import (
     expected_stats,
     sample_sbm,
 )
-from nbspec.operators import build_B, build_H, build_H0
+from nbspec.operators import build_B, build_H, build_H0, build_K
 from nbspec.qep import qep_bound
 
 
@@ -133,7 +132,7 @@ class TestIharaBass:
         # which the eigensolver spreads up to 9.7e-6 wide; the determinants
         # at fixed z do not see it
         assert DEFECTIVE_POOL[4].min_degree() == 1
-        result = check_ihara_bass(with_h_spectra(DEFECTIVE_POOL))
+        result = check_ihara_bass(DEFECTIVE_POOL)
         assert result["status"] == "pass"
         assert result["max_gap"] <= 1e-12
 
@@ -145,7 +144,7 @@ class TestIharaBass:
             match, gap = ihara_bass_check(g)
             assert match and gap <= 1e-12
 
-    def test_centroid_match_still_sees_a_small_fault(self, monkeypatch):
+    def test_sees_a_small_fault_in_h(self, monkeypatch):
         def shifted(graph):
             h = build_H(graph)
             a = h.a_block.copy()
@@ -177,6 +176,14 @@ def _h_off_by_identity(graph):
     return dataclasses.replace(h, x_block=h.x_block - np.eye(graph.n))
 
 
+def _k_a_entry_shifted(graph):
+    """K with one entry of its A block shifted by 1e-3."""
+    k = build_K(graph)
+    a = k.a_block.copy()
+    a[0, 1] += 1e-3
+    return dataclasses.replace(k, a_block=a)
+
+
 def _qep_bound_zero_radius(l0, l1):
     report = qep_bound(l0, l1)
     return dataclasses.replace(
@@ -189,13 +196,15 @@ CHECK_GRAPHS = er_pool(3, n=12, p=0.5, start_seed=0, min_degree=2)
 
 class TestChecks:
     @pytest.mark.parametrize("check, attr, broken", [
-        (lambda: check_ihara_bass(with_h_spectra(CHECK_GRAPHS)), "build_H", _h_off_by_identity),
-        (lambda: check_det_identity(with_h_spectra(CHECK_GRAPHS)), "build_H", _h_off_by_identity),
-        (lambda: check_eigenvalue_one(with_h_spectra(CHECK_GRAPHS)), "build_H", _h_off_by_identity),
-        (lambda: check_reciprocity(with_h_spectra(CHECK_GRAPHS)), "build_H", _h_off_by_identity),
+        (lambda: check_ihara_bass(CHECK_GRAPHS), "build_H", _h_off_by_identity),
+        (lambda: check_det_identity(CHECK_GRAPHS), "build_H", _h_off_by_identity),
+        (lambda: check_eigenvalue_one(CHECK_GRAPHS), "build_H", _h_off_by_identity),
+        (lambda: check_reciprocity(CHECK_GRAPHS), "build_H", _h_off_by_identity),
+        (lambda: check_reciprocity(CHECK_GRAPHS), "build_K", _k_a_entry_shifted),
         (lambda: check_qep_trials(np.random.default_rng(0), 5),
          "qep_bound", _qep_bound_zero_radius),
-    ], ids=["ihara-bass", "det-identity", "eigenvalue-one", "reciprocity", "qep-trials"])
+    ], ids=["ihara-bass", "det-identity", "eigenvalue-one", "reciprocity", "reciprocity-k",
+            "qep-trials"])
     def test_fails_on_broken_operator(self, monkeypatch, check, attr, broken):
         assert check()["status"] == "pass"
         monkeypatch.setattr(analysis, attr, broken)

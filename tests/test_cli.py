@@ -121,6 +121,20 @@ class TestClassify:
         svg = (tmp_path / "spectrum_seed1.svg").read_text()
         assert svg.startswith("<svg") and "circle" in svg
 
+    def test_config_records_input_and_estimate(self, tmp_path, capsys):
+        run(capsys, "sample", "--preset", "k4", "--out", str(tmp_path))
+        graph = str(tmp_path / "graph.edgelist")
+        code, out = run(capsys, "classify", "--input", graph, "--estimate", "--out", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "command": "classify", "seed": 1, "tau": 0.25, "estimate": True, "input": graph,
+        }
+        code, out = run(capsys, "classify", "--preset", "k4", "--out", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "command": "classify", "seed": 1, "tau": 0.25, "estimate": False, "preset": "k4",
+        }
+
     def test_seed_sweep(self, tmp_path, capsys):
         code, out = run(capsys, "classify", "--n", "40", "--p", "0.6", "--q", "0.3",
                         "--seed", "1", "--seeds", "3", "--out", str(tmp_path))
@@ -217,6 +231,23 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sample", "spectrum", "classify", "bound"])
+    @pytest.mark.parametrize("sources", [
+        ["--preset", "k4", "--n", "40", "--p", "0.5", "--q", "0.2"],
+        ["--preset", "k4", "--q", "0.2"],
+        ["--input", "{graph}", "--n", "40", "--p", "0.5", "--q", "0.2"],
+        ["--preset", "k4", "--input", "{graph}"],
+    ], ids=["preset-npq", "preset-q", "input-npq", "preset-input"])
+    def test_conflicting_graph_sources(self, tmp_path, capsys, command, sources):
+        assert main(["sample", "--preset", "k4", "--out", str(tmp_path)]) == 0
+        graph = str(tmp_path / "graph.edgelist")
+        out = tmp_path / "out"
+        code = main([command, *(a.format(graph=graph) for a in sources), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: give only one graph source: --preset, --input or --n/--p/--q\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("preset", ["regular:x", "regular:4"])
     def test_bad_regular_preset(self, tmp_path, capsys, preset):
         out = tmp_path / "out"
@@ -285,7 +316,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise ValueError("spectra sizes differ: 1 vs 2")
 
-        monkeypatch.setattr(analysis, "match_spectra", broken)
+        monkeypatch.setattr(analysis, "build_K", broken)
         code = main(["verify", "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
@@ -390,6 +421,25 @@ class TestVerify:
         code, out = run(capsys, "verify", "--fault-inject", "--out", str(tmp_path))
         assert code == 1
         assert not json.loads(out)["pass"]
+
+    def test_eigensolve_budget(self, tmp_path, capsys, monkeypatch):
+        # the pool checks are identities of the built operators: only the
+        # 50 QEP trials solve a general eigenproblem, and no spectra are matched
+        calls = {"eigs_general": 0, "match_spectra": 0}
+        modules = [m for k, m in sys.modules.items() if k == "nbspec" or k.startswith("nbspec.")]
+        for name in calls:
+            original = getattr(eig, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        code, _ = run(capsys, "verify", "--out", str(tmp_path))
+        assert code == 0
+        assert calls == {"eigs_general": 50, "match_spectra": 0}
 
     def test_verify_loads_no_scipy(self, tmp_path):
         # seed 700111's pool has a graph whose H has a defective eigenvalue 0
