@@ -43,21 +43,17 @@ class ClassificationReport:
     """Partition of a non-backtracking spectrum into outliers, insiders, bulk.
 
     Outliers are the isolated real eigenvalues outside the bulk circle of
-    radius sqrt(gamma), expected near alpha and beta; insiders the isolated
-    real ones inside it, expected near 1 and alpha/beta.  ``ambiguous`` is
-    set when the candidate counts differ from the expected (2, 2) picture
-    (or (1, 1) in the single-community case).
+    radius sqrt(gamma), gamma = alpha - 1, expected near alpha and beta;
+    insiders the isolated real ones inside it, expected near 1 and
+    alpha/beta.  ``ambiguous`` is set when the candidate counts differ from
+    the expected (2, 2) picture (or (1, 1) in the single-community case).
     """
 
     alpha: float
     beta: Optional[float]
-    gamma: float
     outliers: List[Tuple[float, float, float]]  # (eigenvalue, target, gap)
     insiders: List[Tuple[float, float, float]]
-    bulk: np.ndarray
-    bulk_distances: np.ndarray  # | |z| - sqrt(gamma) | per bulk eigenvalue
-    max_bulk_distance: float
-    bulk_distance_quantiles: dict
+    bulk_distances: np.ndarray  # | |z| - sqrt(gamma) | per bulk eigenvalue, ascending
     tau: float
     ambiguous: bool
 
@@ -67,10 +63,12 @@ class ClassificationReport:
         return float(np.mean(self.bulk_distances <= dist))
 
     def to_dict(self) -> dict:
+        ranked = self.bulk_distances
+        qs = (0.5, 0.9, 0.99, 1.0) if ranked.size else ()
         return {
             "alpha": self.alpha,
             "beta": self.beta,
-            "gamma": self.gamma,
+            "gamma": self.alpha - 1.0,
             "tau": self.tau,
             "outliers": [
                 {"value": v, "target": t, "gap": g} for v, t, g in self.outliers
@@ -78,9 +76,9 @@ class ClassificationReport:
             "insiders": [
                 {"value": v, "target": t, "gap": g} for v, t, g in self.insiders
             ],
-            "bulk_count": int(self.bulk.size),
-            "max_bulk_distance": self.max_bulk_distance,
-            "bulk_distance_quantiles": self.bulk_distance_quantiles,
+            "bulk_count": int(ranked.size),
+            "max_bulk_distance": float(ranked[-1]) if ranked.size else 0.0,
+            "bulk_distance_quantiles": {f"q{q:g}": _quantile(ranked, q) for q in qs},
             "ambiguous": self.ambiguous,
         }
 
@@ -119,11 +117,14 @@ def classify_spectrum(
     1e-8 sqrt(alpha), a scale-aware cutoff) with modulus above
     (1 + tau) sqrt(gamma) are outlier candidates matched to {alpha, beta};
     those below (1 - tau) sqrt(gamma) are insider candidates matched to
-    {1, alpha/beta}; everything else is bulk.
+    {1, alpha/beta}; everything else is bulk.  Needs alpha > 1 and a beta
+    that is None or positive.
     """
     alpha, beta, gamma = stats.alpha, stats.beta, stats.gamma
     if gamma <= 0:
         raise InvalidParameters("classification requires alpha > 1")
+    if beta is not None and beta <= 0:
+        raise InvalidParameters(f"classification requires beta > 0, got beta = {beta}")
     root_g = math.sqrt(gamma)
     imag_tol = 1e-8 * math.sqrt(alpha)
 
@@ -150,24 +151,13 @@ def classify_spectrum(
 
     outliers = matched(values[out_mask], out_targets)
     insiders = matched(values[in_mask], in_targets)
-    bulk = values[bulk_mask]
-    dists = np.abs(np.abs(bulk) - root_g)
-    quantiles = {}
-    if dists.size:
-        ranked = np.sort(dists)
-        for qq in (0.5, 0.9, 0.99, 1.0):
-            quantiles[f"q{qq:g}"] = _quantile(ranked, qq)
     ambiguous = (len(outliers), len(insiders)) != (len(out_targets), len(in_targets))
     return ClassificationReport(
         alpha=alpha,
         beta=beta,
-        gamma=gamma,
         outliers=outliers,
         insiders=insiders,
-        bulk=bulk,
-        bulk_distances=dists,
-        max_bulk_distance=float(dists.max()) if dists.size else 0.0,
-        bulk_distance_quantiles=quantiles,
+        bulk_distances=np.sort(np.abs(np.abs(values[bulk_mask]) - root_g)),
         tau=tau,
         ambiguous=ambiguous,
     )
@@ -362,17 +352,13 @@ def recover_communities(
     )
 
 
-def write_spectrum_svg(
-    spec: np.ndarray,
-    radius: float,
-    fh: TextIO,
-    size: int = 640,
-):
+def write_spectrum_svg(spec: np.ndarray, radius: float, fh: TextIO):
     """Scatter of a complex spectrum with the bulk circle overlaid.
 
-    Self-contained SVG, no plotting dependency; coordinates scaled so the
-    circle of the given radius fits with margin.
+    Self-contained SVG, 640 pixels square, no plotting dependency;
+    coordinates scaled so the circle of the given radius fits with margin.
     """
+    size = 640
     vals = np.asarray(spec, dtype=complex)
     extent = max(float(np.abs(vals).max(initial=0.0)), radius) * 1.1 or 1.0
     half = size / 2.0

@@ -25,7 +25,6 @@ from .graphgen import (
     InvalidParameters,
     SbmParams,
     circulant,
-    complete_graph,
     degree_concentration,
     er_pool,
     expected_stats,
@@ -75,8 +74,6 @@ def _check_args(args) -> None:
         raise InvalidParameters(f"--seeds must be at least 1, got {args.seeds}")
     if not 0 <= getattr(args, "tau", 0) < 1:
         raise InvalidParameters(f"--tau must lie in [0, 1), got {args.tau}")
-    if getattr(args, "dense_cap", 0) < 0:
-        raise InvalidParameters(f"--dense-cap must be non-negative, got {args.dense_cap}")
     if args.command in ("classify", "verify"):
         _thread_cap()  # raises on a malformed NBSPEC_THREADS
     if hasattr(args, "preset") and sum((args.preset is not None, args.input is not None,
@@ -93,14 +90,8 @@ def _regular_graph(d: int, n: int) -> Graph:
 
 def resolve_graph(args) -> Tuple[Graph, DegreeStats, Optional[SbmParams]]:
     """Graph + stats from --preset, --input, or raw --n/--p/--q/--seed."""
-    preset = args.preset
+    preset = {"k3": "regular:2,3", "k4": "regular:3,4"}.get(args.preset, args.preset)
     if preset:
-        if preset == "k3":
-            g = complete_graph(3)
-            return g, DegreeStats(alpha=2.0, beta=None), None
-        if preset == "k4":
-            g = complete_graph(4)
-            return g, DegreeStats(alpha=3.0, beta=None), None
         if preset.startswith("regular:"):
             try:
                 d, n = map(int, preset.split(":", 1)[1].split(","))
@@ -140,9 +131,9 @@ def _outdir(args) -> Path:
 
 
 def _config_dict(args, params: Optional[SbmParams]) -> dict:
-    """The seed, the graph's source, and the --tau/--dense-cap/--estimate the command takes."""
+    """The seed, the graph's source, and whichever of --tau/--estimate/--fault-inject it takes."""
     doc = {"command": args.command, "seed": args.seed}
-    doc.update({k: v for k, v in vars(args).items() if k in ("tau", "dense_cap", "estimate")})
+    doc.update({k: v for k, v in vars(args).items() if k in ("tau", "estimate", "fault_inject")})
     if params is not None:
         doc.update({"n": params.n, "p": params.p, "q": params.q, "seed": params.seed})
     doc.update({k: v for k, v in vars(args).items() if k in ("preset", "input") and v})
@@ -197,8 +188,12 @@ def cmd_spectrum(args) -> int:
         "spectrum_H_csv": str(out / "spectrum_H.csv"),
         "dim_H": len(spec_h),
     }
-    if 2 * graph.num_edges <= args.dense_cap:
-        spec_b = eigs_general(operators.build_B(graph, dense_cap=args.dense_cap))
+    try:
+        b = operators.build_B(graph)
+    except operators.TooLargeError:
+        pass  # past operators.DENSE_CAP rows only Spec(H) is written
+    else:
+        spec_b = eigs_general(b)
         with open(out / "spectrum_B.csv", "w") as fh:
             _write_csv(spec_b, fh)
         doc["spectrum_B_csv"] = str(out / "spectrum_B.csv")
@@ -330,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("sample", "sample an SBM and write its edge list")
-    p = command("spectrum", "compute Spec(H) (and Spec(B) under the cap)")
-    p.add_argument("--dense-cap", type=int, default=operators.DEFAULT_DENSE_CAP,
-                   help="largest B (rows) built densely")
+    command("spectrum", f"compute Spec(H), and Spec(B) up to {operators.DENSE_CAP} rows")
 
     p = command("classify", "classify the non-backtracking spectrum")
     p.add_argument("--tau", type=float, default=0.25,

@@ -20,14 +20,14 @@ __all__ = [
     "build_K",
     "build_K0",
     "bethe_hessian",
-    "DEFAULT_DENSE_CAP",
+    "DENSE_CAP",
 ]
 
-DEFAULT_DENSE_CAP = 4000
+DENSE_CAP = 4000
 
 
 class TooLargeError(ValueError):
-    """Requested dense matrix exceeds the configured cap."""
+    """Requested dense matrix exceeds ``DENSE_CAP`` rows."""
 
 
 class DegreeTooSmallError(ValueError):
@@ -99,18 +99,18 @@ class QepPair:
         return _read_only(np.column_stack((r1, r2)).ravel())
 
 
-def build_B(graph: Graph, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def build_B(graph: Graph) -> np.ndarray:
     """The read-only 2|E| x 2|E| 0/1 non-backtracking matrix on directed edges.
 
     Entry ((i,j),(k,l)) is 1 iff j = k and l != i.  Directed edges are
     indexed in lexicographic (i, j) order; any fixed order gives a similar
     matrix, this one makes outputs byte-stable.  Refuses to build beyond
-    ``dense_cap`` rows: at scale the spectrum must come from H instead.
+    ``DENSE_CAP`` rows: at scale the spectrum must come from H instead.
     """
     m2 = 2 * graph.num_edges
-    if m2 > dense_cap:
+    if m2 > DENSE_CAP:
         raise TooLargeError(
-            f"B would be {m2} x {m2}, over the dense cap {dense_cap}; use build_H"
+            f"B would be {m2} x {m2}, over the dense cap {DENSE_CAP}; use build_H"
         )
     darts = np.concatenate((graph.edges, graph.edges[:, ::-1]))
     tail, head = darts[np.lexsort((darts[:, 1], darts[:, 0]))].T

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nbspec.eig import eigs_general
 from nbspec.graphgen import Graph, complete_graph, expected_stats, fig1_params, sample_sbm
@@ -10,6 +11,15 @@ def make_graph(n, edges):
     labels = np.zeros(n, dtype=np.int8)
     labels[n // 2 :] = 1
     return Graph(n=n, edges=sorted(edges), labels=labels)
+
+
+@st.composite
+def edge_sets(draw):
+    """A graph on up to 10 vertices with an arbitrary edge set, possibly empty."""
+    n = draw(st.integers(0, 10))
+    iu, ju = np.triu_indices(n, k=1)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=iu.size, max_size=iu.size)), bool)
+    return make_graph(n, zip(iu[keep].tolist(), ju[keep].tolist()))
 
 
 def path3():

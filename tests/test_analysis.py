@@ -50,7 +50,7 @@ class TestClassify:
         one = min(report.insiders, key=lambda row: abs(row[1] - 1.0))
         assert one[2] <= 1e-8
         # partition covers everything
-        total = len(report.outliers) + len(report.insiders) + report.bulk.size
+        total = len(report.outliers) + len(report.insiders) + report.bulk_distances.size
         assert total == len(spec)
 
     def test_fig1_outlier_gaps(self, fig1_instance, fig1_spectra):

@@ -1,16 +1,23 @@
+import contextlib
 import importlib.util
 import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nbspec import analysis, cli, eig
 from nbspec.cli import main
+from nbspec.graphgen import write_edge_list
+
+from conftest import edge_sets
 
 
 def _load_bench_workloads():
@@ -192,7 +199,7 @@ class TestBadInput:
         (["classify", "--tau", "-1"], None),
         (["classify", "--tau", "1"], None),
         (["classify", "--tau", "5"], None),
-        (["spectrum", "--dense-cap", "-5"], None),
+        (["classify", "--tau", "nan"], None),
         (["classify"], "abc"),
         (["classify"], "0"),
         (["classify", "--seeds", "abc"], None),
@@ -221,8 +228,10 @@ class TestBadInput:
         ["verify", "--preset", "k4"],
         ["bound", "--preset", "k4", "--dense-cap", "10"],
         ["verify", "--dense-cap", "10"],
+        ["spectrum", "--dense-cap", "-5"],
         ["sample", "--preset", "k4", "--tau", "0.5"],
-    ], ids=["verify-tau", "verify-preset", "bound-dense-cap", "verify-dense-cap", "sample-tau"])
+    ], ids=["verify-tau", "verify-preset", "bound-dense-cap", "verify-dense-cap",
+            "spectrum-dense-cap", "sample-tau"])
     def test_option_the_command_does_not_take(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         code = main([*argv, "--out", str(out)])
@@ -342,6 +351,50 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and "alpha > 1" in err and err.count("\n") == 1
 
+    # beta = n(p - q)/2 - p is 0 at q = 0.3 and -0.4 at q = 0.5: no insider target alpha/beta
+    @pytest.mark.parametrize("q", ["0.3", "0.5"], ids=["beta-zero", "beta-negative"])
+    def test_classify_beta_at_most_zero_is_bad_input(self, tmp_path, capsys, q):
+        out = tmp_path / "out"
+        code = main(["classify", "--n", "4", "--p", "0.6", "--q", q, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "beta > 0" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @staticmethod
+    def _assert_exit_code_meaning(argv):
+        """Exit 0, 1 or 2, never 3 or 4; exit 2 prints exactly one `error:` line."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as out, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", out])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (argv, code, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+    PROPERTY_COMMANDS = (["sample"], ["spectrum"], ["classify"],
+                         ["bound", "--pair", "H"], ["bound", "--pair", "K"])
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(edge_sets())
+    def test_input_graph_exit_codes(self, graph):
+        # disconnected graphs and isolated or degree-1 vertices included
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.edgelist"
+            with open(path, "w") as fh:
+                write_edge_list(graph, fh)
+            for command in self.PROPERTY_COMMANDS:
+                self._assert_exit_code_meaning([*command, "--input", str(path)])
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(4, 20), p=st.floats(0, 1), q=st.floats(0, 1), seed=st.integers(0, 99))
+    @example(n=4, p=0.6, q=0.3, seed=1)  # beta = 0
+    def test_sbm_parameter_exit_codes(self, n, p, q, seed):
+        for command in self.PROPERTY_COMMANDS:
+            self._assert_exit_code_meaning(
+                [*command, "--n", str(n), "--p", repr(p), "--q", repr(q), "--seed", str(seed)])
+
 
 class TestBound:
     def test_regular_graph_zero_radius(self, tmp_path, capsys):
@@ -407,6 +460,7 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["pass"], doc
         assert code == 0
+        assert doc["config"] == {"command": "verify", "seed": 1, "fault_inject": False}
         names = set(doc["results"])
         assert names == {
             "ihara-bass",
@@ -421,6 +475,7 @@ class TestVerify:
         code, out = run(capsys, "verify", "--fault-inject", "--out", str(tmp_path))
         assert code == 1
         assert not json.loads(out)["pass"]
+        assert json.loads(out)["config"] == {"command": "verify", "seed": 1, "fault_inject": True}
 
     def test_eigensolve_budget(self, tmp_path, capsys, monkeypatch):
         # the pool checks are identities of the built operators: only the
@@ -488,6 +543,31 @@ class TestBlasThreads:
         monkeypatch.setattr(cli, "_h_spectrum", self._numeric_failure)  # spectrum's exit 3
         assert main([*argv, "--out", str(tmp_path)]) == expected
         assert self._counts(setters) == [2] * len(setters)
+
+    @pytest.mark.parametrize("threads", [None, "1", "64"])
+    def test_unlimited_blas_gets_one_worker(self, monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("NBSPEC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("NBSPEC_THREADS", threads)
+        assert cli._workers(4, False) == 1
+
+    def test_verify_on_unlimited_blas_matches_pinned_run(self, tmp_path, capsys, monkeypatch):
+        # a BLAS nbspec cannot limit: verify runs its two halves in turn, same bytes
+        monkeypatch.delenv("NBSPEC_THREADS", raising=False)
+        args = ("verify", "--seed", "5", "--out", str(tmp_path))
+        _, pinned = run(capsys, *args)
+
+        @contextlib.contextmanager
+        def unlimited():
+            # such output is byte-stable only at a fixed BLAS thread count, so
+            # the BLAS runs one thread, as OPENBLAS_NUM_THREADS=1 would set
+            with eig.single_blas_thread():
+                yield False
+
+        monkeypatch.setattr(cli, "single_blas_thread", unlimited)
+        _, unpinned = run(capsys, *args)
+        assert unpinned == pinned
 
     def test_count_restored_after_error_on_verify_worker(self, tmp_path, capsys, monkeypatch,
                                                          setters):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given
 
 from nbspec.graphgen import (
     DegreeStats,
@@ -18,16 +18,7 @@ from nbspec.graphgen import (
     write_edge_list,
 )
 
-from conftest import make_graph
-
-
-@st.composite
-def edge_sets(draw):
-    """A graph on up to 10 vertices with an arbitrary edge set, possibly empty."""
-    n = draw(st.integers(0, 10))
-    iu, ju = np.triu_indices(n, k=1)
-    keep = np.array(draw(st.lists(st.booleans(), min_size=iu.size, max_size=iu.size)), bool)
-    return make_graph(n, zip(iu[keep].tolist(), ju[keep].tolist()))
+from conftest import edge_sets, make_graph
 
 
 FIG1_N = 1000

@@ -69,8 +69,9 @@ class TestBuildB:
                 assert b[t, s] == expected
 
     def test_dense_cap(self):
+        # K64 needs 2 * 2016 = 4032 rows, over the 4000-row cap
         with pytest.raises(TooLargeError):
-            build_B(complete_graph(10), dense_cap=20)
+            build_B(complete_graph(64))
 
     def test_similarity_under_vertex_relabeling(self):
         # edge order is pinned, but any relabeling gives an isospectral B
