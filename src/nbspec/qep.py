@@ -90,9 +90,10 @@ class _Gram:
     def __init__(self, x_diff: np.ndarray, a_diff: np.ndarray):
         self.n = max(x_diff.shape)
         self.p = x_diff @ x_diff.T
-        self.f, self.g = _abs_norm_bound(x_diff), _abs_norm_bound(a_diff)
+        self.f, self.g = _abs_norm_bound(x_diff), 0.0
         terms = []  # (axis, matrix, unit)
         if a_diff.any():
+            self.g = _abs_norm_bound(a_diff)
             c = a_diff @ x_diff.T
             terms = [(0, c + c.T, 1.0), (1, a_diff @ a_diff.T, 1.0), (2, c - c.T, 1j)]
         self.terms = [term for term in terms if term[1].any()]
@@ -101,8 +102,10 @@ class _Gram:
 
     def exact(self, mus: np.ndarray) -> np.ndarray:
         """``perturbation_norms``: one solve per distinct key, so per conjugate class, kept in ``top``."""
-        coords = np.column_stack((mus.real, mus.real ** 2 + mus.imag ** 2, np.abs(mus.imag)))
-        keys = list(map(tuple, coords[:, self.axes]))
+        keys = [()] * mus.size  # no term depends on mu: one Gram matrix for every mu
+        if self.axes:
+            coords = np.column_stack((mus.real, mus.real ** 2 + mus.imag ** 2, np.abs(mus.imag)))
+            keys = list(map(tuple, coords[:, self.axes]))
         for key in dict.fromkeys(key for key in keys if key not in self.top):
             gram = self.p
             for coef, (_, m, unit) in zip(key, self.terms):
@@ -293,13 +296,30 @@ def qep_bound(
     mus = np.asarray(spec, dtype=complex)
     norms, methods = _norms(l0.x_block - l.x_block, l0.a_block - l.a_block, mus)
     nus = np.asarray(spec0, dtype=complex)
-    per_mu = []
-    for mu, norm in zip(mus, norms):
-        eps = float(np.sqrt(norm))
-        gaps = np.abs(nus - mu)
-        k = int(gaps.argmin())
-        per_mu.append((complex(mu), eps, complex(nus[k]), float(gaps[k])))
+    nearest, dists = _nearest(mus, nus)
+    per_mu = list(zip(mus.tolist(), np.sqrt(norms).tolist(), nus[nearest].tolist(), dists.tolist()))
     return QepBoundReport(per_mu=per_mu, norm_methods=tuple(methods.tolist()))
+
+
+# mu - nu differences per block: 1 MB of complex values, 0.5 MB of their moduli
+_NEAREST_BLOCK = 1 << 16
+
+
+def _nearest(mus: np.ndarray, nus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For each mu, the index of the first nearest nu and |mu - nu| there.
+
+    Rows are taken in blocks of at most ``_NEAREST_BLOCK`` differences.  Each
+    distance is the same elementwise ``abs`` of the same difference as
+    ``np.abs(nus - mu)``, so the bytes do not depend on the blocking.
+    """
+    nearest = np.empty(mus.size, dtype=np.intp)
+    dists = np.empty(mus.size)
+    rows = max(1, _NEAREST_BLOCK // max(nus.size, 1))
+    for start in range(0, mus.size, rows):
+        gaps = np.abs(nus[None, :] - mus[start:start + rows, None])
+        nearest[start:start + rows] = gaps.argmin(axis=1)
+        dists[start:start + rows] = gaps.min(axis=1)
+    return nearest, dists
 
 
 def corollary_bound(a: np.ndarray, x_block: np.ndarray, y_block: np.ndarray) -> float:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nbspec import analysis, cli, eig
 from nbspec.cli import main
-from nbspec.graphgen import write_edge_list
+from nbspec.graphgen import Graph, write_edge_list
 
 from conftest import edge_sets
 
@@ -190,6 +191,23 @@ class TestClassify:
         proc = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True,
                               text=True, check=True)
         assert proc.stderr.strip() == "[0, 0] False"
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(tmp_path, capsys):
+    # main builds its parser once per process and shares it between calls
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["bound", "--pair", "K", "--n", "40", "--p", "0.5", "--q", "0.2", "--seed", "4"],
+        ["verify", "--seed", "3"],
+        ["classify", "--seeds", "abc"],
+        ["classify", "--preset", "regular:4,12", "--tau", "0.3"],
+    ]
+    for argv in calls:
+        code = main([*argv, "--out", str(tmp_path)])
+        shared = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "nbspec.cli", *argv, "--out", str(tmp_path)],
+                              env=_src_env(), capture_output=True, text=True)
+        assert (code, shared.out, shared.err) == (proc.returncode, proc.stdout, proc.stderr)
 
 
 class TestBadInput:
@@ -495,6 +513,44 @@ class TestVerify:
         code, _ = run(capsys, "verify", "--out", str(tmp_path))
         assert code == 0
         assert calls == {"eigs_general": 50, "match_spectra": 0}
+
+    @pytest.mark.parametrize("threads", [None, "1"], ids=["pool", "in-turn"])
+    def test_er_half_starts_once_the_n800_matrix_exists(self, tmp_path, capsys, monkeypatch,
+                                                        threads):
+        # the sampling and adjacency hold the interpreter lock: the ER half
+        # starts after them, and runs beside the eigensolve on the pool worker
+        events = []
+        sample, adjacency, er_checks = cli.sample_sbm, Graph.adjacency, cli._er_checks
+
+        def sample_logged(params):
+            graph = sample(params)
+            events.append(("sampled", params.n))
+            return graph
+
+        def adjacency_logged(graph):
+            a = adjacency(graph)
+            events.append(("adjacency", graph.n))
+            return a
+
+        def er_logged(args):
+            events.append(("er", threading.get_ident()))
+            return er_checks(args)
+
+        if threads is None:
+            monkeypatch.delenv("NBSPEC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("NBSPEC_THREADS", threads)
+        monkeypatch.setattr(cli, "sample_sbm", sample_logged)
+        monkeypatch.setattr(Graph, "adjacency", adjacency_logged)
+        monkeypatch.setattr(cli, "_er_checks", er_logged)
+        code, _ = run(capsys, "verify", "--seed", "3", "--out", str(tmp_path))
+        assert code == 0
+        er = [i for i, event in enumerate(events) if event[0] == "er"]
+        assert len(er) == 1
+        assert events[:er[0]] == [("sampled", 800), ("adjacency", 800)]
+        with eig.single_blas_thread() as pinned:
+            pooled = cli._workers(2, pinned) > 1
+        assert (events[er[0]][1] != threading.get_ident()) == pooled
 
     def test_verify_loads_no_scipy(self, tmp_path):
         # seed 700111's pool has a graph whose H has a defective eigenvalue 0

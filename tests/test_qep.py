@@ -11,6 +11,7 @@ from nbspec.eig import eigs_general
 from nbspec.graphgen import (
     DegreeStats,
     SbmParams,
+    circulant,
     complete_graph,
     degree_concentration,
     expected_stats,
@@ -369,6 +370,39 @@ def test_radii_independent_of_the_order_of_spec_l(pencils):
         permuted = np.empty(spec.size)
         permuted[order] = [eps for _, eps, _, _ in report.per_mu]
         assert permuted.tolist() == radii
+
+
+def _regular_pencils():
+    """(H0, H) of the 4-regular circulant on 12 vertices: H = H0, so every mu is some nu."""
+    g = circulant(12, [1, 2])
+    return build_H0(g, DegreeStats(alpha=4.0, beta=None)), build_H(g)
+
+
+@pytest.mark.parametrize("pencils", [_regular_pencils, _k_pencils, _h_pencils],
+                         ids=["regular", "k-n100", "h-n400"])
+def test_matching_is_the_loop_over_mu(pencils):
+    # each row's nearest nu and distance are those of a loop over mu, taking
+    # the first of equally near nu: the bound_<pair>.json bytes are the same
+    l0, l1 = pencils()
+    spec0, spec = l0.spectrum(), l1.spectrum()
+    report = qep_bound(l0, l1, spec0=spec0, spec=spec)
+    per_mu = []
+    for mu, (_, eps, _, _) in zip(spec, report.per_mu):
+        gaps = np.abs(spec0 - mu)
+        k = int(gaps.argmin())
+        per_mu.append((complex(mu), eps, complex(spec0[k]), float(gaps[k])))
+    assert report.to_json() == QepBoundReport(per_mu, report.norm_methods).to_json()
+    if pencils is _regular_pencils:
+        assert all(dist == 0.0 for _, _, _, dist in report.per_mu)
+        assert max(np.count_nonzero(spec0 == mu) for mu in spec) >= 2  # ties occur
+    if pencils is _h_pencils:
+        assert spec.size > qep._NEAREST_BLOCK // spec0.size  # more than one block of rows
+
+
+def test_matching_takes_the_first_of_equally_near_nu():
+    nearest, dists = qep._nearest(np.array([0j, 2j]), np.array([1, -1, 1j, -1j]))
+    assert nearest.tolist() == [0, 2]
+    assert dists.tolist() == [1.0, 1.0]
 
 
 class TestPerturbationNorms:
