@@ -92,30 +92,27 @@ def eigs_general(m: np.ndarray) -> np.ndarray:
     return _read_only(w.astype(complex, copy=False))
 
 
+@functools.cache
 def _openblas_setters() -> tuple:
-    """``openblas_set_num_threads_local`` of every OpenBLAS mapped into the process now.
+    """``openblas_set_num_threads_local`` of every OpenBLAS mapped at the first call.
 
-    numpy and scipy each bundle their own copy, and scipy's is mapped only
-    once a scipy module that links it is imported, so the maps are read on
-    each call.  Empty where ``/proc/self/maps`` does not exist or no mapped
-    OpenBLAS exports the symbol (OpenBLAS < 0.3.27, another BLAS).
+    nbspec runs LAPACK only through numpy, and ``import numpy`` maps numpy's
+    OpenBLAS before the first ``single_blas_thread`` block, so
+    ``/proc/self/maps`` is read once per process.  A copy mapped later
+    (scipy's, say) is not limited.  Empty where ``/proc/self/maps`` does not
+    exist or no mapped OpenBLAS exports the symbol (OpenBLAS < 0.3.27,
+    another BLAS).
     """
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
     except OSError:
         return ()
-    # a library is mapped several times (text, data, ...); keep the first
-    paths = dict.fromkeys(
-        f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()
-    )
-    return _setters_of(tuple(paths))
-
-
-@functools.lru_cache(maxsize=None)
-def _setters_of(paths: tuple) -> tuple:
     setters = []
-    for path in paths:
+    # a library is mapped several times (text, data, ...); keep the first
+    for path in dict.fromkeys(
+        f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()
+    ):
         try:
             fn = ctypes.CDLL(path).openblas_set_num_threads_local
         except (OSError, AttributeError):
@@ -131,8 +128,9 @@ _blas_threads_lock = threading.RLock()
 
 @contextmanager
 def single_blas_thread() -> Iterator[bool]:
-    """Run the block with every loaded OpenBLAS limited to one thread.
+    """Run the block with numpy's OpenBLAS limited to one thread.
 
+    Every OpenBLAS mapped at the first block is limited (``_openblas_setters``).
     Yields whether any library could be limited.  The thread count is
     process-wide, not per calling thread: despite its name,
     ``openblas_set_num_threads_local`` sets the global count and returns the
@@ -173,24 +171,13 @@ def quadratic_roots(a, x) -> Tuple[np.ndarray, np.ndarray]:
     return r1[()], r2[()]
 
 
-def _greedy_match(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances of a greedy nearest-neighbor matching between equal-size multisets."""
-    order = np.lexsort((a.imag, a.real))
-    remaining = np.lexsort((b.imag, b.real)).tolist()
-    dists = np.empty(a.size)
-    for pos, ia in enumerate(order):
-        gaps = np.abs(b[remaining] - a[ia])
-        k = int(gaps.argmin())
-        dists[pos] = gaps[k]
-        remaining.pop(k)
-    return dists
-
-
 def match_spectra(s0, s1, tolerance: float = 1e-8) -> Tuple[bool, float]:
     """Multiset-match two arrays of eigenvalues; returns (within tolerance, worst matched gap).
 
-    Greedy nearest-neighbor after sorting by (real, imag); falls back to the
-    optimal assignment only when the greedy match misses the tolerance.
+    Greedy nearest neighbor, taking the values of ``s0`` in (real, imag)
+    order.  ``True`` proves that a matching within ``tolerance`` exists.  On
+    ``False`` the gap is the greedy matching's worst, which an optimal
+    assignment may undercut.
     """
     a = np.asarray(s0, dtype=complex)
     b = np.asarray(s1, dtype=complex)
@@ -198,12 +185,12 @@ def match_spectra(s0, s1, tolerance: float = 1e-8) -> Tuple[bool, float]:
         raise ValueError(f"spectra sizes differ: {a.size} vs {b.size}")
     if a.size == 0:
         return True, 0.0
-    worst = float(_greedy_match(a, b).max())
-    if worst <= tolerance:
-        return True, worst
-    from scipy.optimize import linear_sum_assignment  # importing it would dominate `import nbspec`
-
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    worst = float(cost[rows, cols].max())
+    remaining = np.lexsort((b.imag, b.real)).tolist()
+    dists = np.empty(a.size)
+    for pos, ia in enumerate(np.lexsort((a.imag, a.real))):
+        gaps = np.abs(b[remaining] - a[ia])
+        k = int(gaps.argmin())
+        dists[pos] = gaps[k]
+        remaining.pop(k)
+    worst = float(dists.max())  # NaN if any value is NaN, and then not within tolerance
     return worst <= tolerance, worst

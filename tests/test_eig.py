@@ -325,7 +325,7 @@ class TestSpectrumType:
             match_spectra(np.array([1.0]), np.array([1.0, 2.0]))
 
     def test_match_fallback_reports_optimal_gap(self):
-        # greedy misses the tolerance, so the optimal assignment decides
+        # the greedy matching misses the tolerance; here its worst gap is also the optimal one
         a = np.array([0.0, 1.0])
         b = np.array([3.0, 4.0])
         ok, gap = match_spectra(a, b, tolerance=2.9)
@@ -351,22 +351,34 @@ class TestSingleBlasThread:
         assert inside == [1] * len(setters)
         assert after == [2] * len(setters)
 
-    def test_setters_follow_libraries_mapped_later(self):
-        # scipy.linalg maps scipy's own OpenBLAS after nbspec is imported
-        script = """
-import ctypes
-from nbspec import eig, operators
-eig._openblas_setters()
+    def test_maps_read_once_however_many_runs(self, tmp_path):
+        # scipy.linalg maps scipy's own OpenBLAS between the runs; nbspec calls
+        # LAPACK only through numpy, so the second run neither re-reads the
+        # maps nor prints other bytes
+        script = f"""
+import contextlib, io, sys
+from pathlib import Path
+maps_opened = []
+sys.addaudithook(lambda event, args: event == "open" and args[0] == "/proc/self/maps"
+                 and maps_opened.append(args[0]))
+from nbspec.cli import main
+
+def run(out):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["bound", "--pair", "K", "--n", "100", "--p", "0.28", "--q", "0.1",
+                     "--out", out])
+    return code, stdout.getvalue().replace(out, "OUT"), Path(out, "bound_K.json").read_bytes()
+
+first = run({str(tmp_path / "first")!r})
 import scipy.linalg
-paths = {line.split(maxsplit=5)[5].strip() for line in open("/proc/self/maps")
-         if "openblas" in line.lower() and len(line.split(maxsplit=5)) == 6}
-exporting = [p for p in paths if hasattr(ctypes.CDLL(p), "openblas_set_num_threads_local")]
-print(len(eig._openblas_setters()), len(exporting))
+second = run({str(tmp_path / "second")!r})
+print(first[0], first == second, len(maps_opened))
 """
-        if not Path("/proc/self/maps").exists():
-            pytest.skip("no /proc/self/maps")
-        setters, exporting = _run_python(script).split()
-        assert setters == exporting
+        code, same, opened = _run_python(script).split()
+        assert code == "0"
+        assert same == "True"
+        assert int(opened) <= 1
 
 
 def _run_python(script: str) -> str:
@@ -375,8 +387,3 @@ def _run_python(script: str) -> str:
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     return proc.stdout
-
-
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    out = _run_python("import sys, nbspec.cli; print('scipy.optimize' in sys.modules)")
-    assert out.strip() == "False"
