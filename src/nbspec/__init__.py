@@ -24,9 +24,6 @@ from .operators import (
 from .eig import eigs_general, eigs_symmetric, match_spectra, quadratic_roots
 from .qep import (
     QepBoundReport,
-    cluster_certificate,
-    corollary_bound,
-    perturbation_norms,
     qep_bound,
     spectral_norm,
 )

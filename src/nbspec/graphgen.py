@@ -58,8 +58,9 @@ class Graph:
     """An undirected simple graph with planted two-block labels.
 
     ``edges`` is an (m, 2) int64 array of rows (i, j) with i < j, in
-    lexicographic order; ``degrees`` is computed from it.  Immutable after
-    construction; safe to share across threads.
+    lexicographic order; ``degrees`` is computed from it.  ``labels`` is
+    stored as an int8 copy of length n.  Immutable after construction; safe
+    to share across threads.
     """
 
     n: int
@@ -69,9 +70,13 @@ class Graph:
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        labels = np.array(self.labels, dtype=np.int8)  # a copy: the caller's array stays writable
+        if labels.shape != (self.n,):
+            raise InvalidParameters(f"labels must be {self.n} values, got shape {labels.shape}")
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "degrees", np.bincount(edges.ravel(), minlength=self.n))
-        for arr in (edges, self.labels, self.degrees):
+        for arr in (edges, labels, self.degrees):
             arr.setflags(write=False)
 
     @property

@@ -1,4 +1,4 @@
-"""Non-backtracking operator, companion linearizations, and the Bethe Hessian."""
+"""Non-backtracking operator, linearized quadratic pencils, and the Bethe Hessian."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ __all__ = [
     "QepPair",
     "TooLargeError",
     "DegreeTooSmallError",
-    "companion",
     "build_B",
     "build_H",
     "build_H0",
@@ -30,18 +29,8 @@ class TooLargeError(ValueError):
     """Requested dense matrix exceeds ``DENSE_CAP`` rows."""
 
 
-class DegreeTooSmallError(ValueError):
+class DegreeTooSmallError(InvalidParameters):
     """Construction requires minimum degree >= 2."""
-
-
-def companion(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The 2n x 2n companion matrix [[A, X], [I, 0]] of the pencil z^2 I - z A - X."""
-    n = a.shape[0]
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = a
-    m[:n, n:] = x
-    m[n:, :n] = np.eye(n)
-    return m
 
 
 @dataclass(frozen=True)
@@ -49,7 +38,7 @@ class QepPair:
     """Coefficient blocks (A, X) of the pencil z^2 I - z A - X.
 
     H, H0, K and K0 are all such pencils; ``matrix`` is their 2n x 2n
-    companion linearization, built on each access rather than stored, and
+    linearization, built on each access rather than stored, and
     ``spectrum()`` its eigenvalues.
     """
 
@@ -66,12 +55,13 @@ class QepPair:
 
     @property
     def matrix(self) -> np.ndarray:
-        return companion(self.a_block, self.x_block)
-
-    @property
-    def a_symmetric(self) -> bool:
-        """Whether A = A^T within 1e-12 relative, the tolerance of ``eigs_symmetric``."""
-        return _symmetric(self.a_block)
+        """The 2n x 2n linearization [[A, X], [I, 0]]."""
+        n = self.a_block.shape[0]
+        m = np.zeros((2 * n, 2 * n))
+        m[:n, :n] = self.a_block
+        m[:n, n:] = self.x_block
+        m[n:, :n] = np.eye(n)
+        return m
 
     @property
     def symmetric_scalar(self) -> bool:
@@ -79,11 +69,16 @@ class QepPair:
 
         Such blocks co-diagonalize orthogonally, so kappa(P) = 1, and the
         spectrum is the roots of z^2 - lambda z - c over lambda in Spec(A).
+        The diagonal of X is checked first, in O(n): H of an irregular graph
+        fails there without an n x n temporary.  A symmetric A is one that
+        ``eigs_symmetric`` accepts.
         """
         x = self.x_block
         c = x[0, 0]
-        scalar = np.abs(x - c * np.eye(x.shape[0])).max() <= 1e-12 * max(abs(c), 1.0)
-        return bool(scalar) and self.a_symmetric
+        tol = 1e-12 * max(abs(c), 1.0)
+        if np.abs(np.diagonal(x) - c).max() > tol:
+            return False
+        return bool(np.abs(x - c * np.eye(x.shape[0])).max() <= tol) and _symmetric(self.a_block)
 
     def spectrum(self) -> np.ndarray:
         """The 2n eigenvalues of ``matrix``, a read-only complex128 array.
@@ -91,7 +86,7 @@ class QepPair:
         For ``symmetric_scalar`` blocks they come in closed form from one
         symmetric eigensolve of A: the two roots of z^2 - lambda z - c for
         each lambda, ascending in lambda.  Otherwise from a dense
-        eigensolve of the companion matrix.
+        eigensolve of ``matrix``.
         """
         if not self.symmetric_scalar:
             return eigs_general(self.matrix)
@@ -120,7 +115,7 @@ def build_B(graph: Graph) -> np.ndarray:
 
 
 def build_H(graph: Graph) -> QepPair:
-    """The pencil z^2 I - z A + D - I, whose companion is [[A, I-D], [I, 0]]."""
+    """The pencil z^2 I - z A + D - I, whose linearization is [[A, I-D], [I, 0]]."""
     a = graph.adjacency()
     x = np.eye(graph.n) - np.diag(graph.degrees.astype(float))
     return QepPair(a, x)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,11 +22,8 @@ from .operators import QepPair
 __all__ = [
     "QepBoundReport",
     "NotQepDiagonalizableError",
-    "perturbation_norms",
     "spectral_norm",
     "qep_bound",
-    "corollary_bound",
-    "cluster_certificate",
 ]
 
 # envelope cells per coordinate across the bulk of Spec(L)
@@ -101,7 +98,33 @@ class _Gram:
         self.top = {}  # key -> lambda_max of the computed Gram matrix
 
     def exact(self, mus: np.ndarray) -> np.ndarray:
-        """``perturbation_norms``: one solve per distinct key, so per conjugate class, kept in ``top``."""
+        """Upper bounds on ||E(mu)||_2 for E(mu) = x_diff + mu a_diff, every mu.
+
+        For real blocks E E^H = P + Re(mu) S + |mu|^2 R + i Im(mu) T, so
+        ||E(mu)||^2 = lambda_max(G(mu)).  Only the nonzero terms are formed, and
+        G depends on mu only through (Re mu, |mu|^2, |Im mu|) restricted to them:
+        one solve per distinct key, so a conjugate pair shares one eigensolve,
+        and Ad = 0 needs one in all.  Solves are kept in ``top``.
+
+        Rounding allowance.  Let u be the unit roundoff, gamma_k = k u / (1 - k u),
+        n the larger dimension, f >= ||abs(Xd)||_2, g >= ||abs(Ad)||_2 (from
+        ``_abs_norm_bound``) and h = f + sqrt(2) |mu| g.  Every matrix formed is
+        bounded entrywise by |Xd||Xd|^T, |Ad||Xd|^T, |Xd||Ad|^T or |Ad||Ad|^T, so
+        with |Re mu| + |Im mu| <= sqrt(2) |mu| the errors against the exact Gram
+        matrix G of the exact E are at most:
+          - gamma_3 h^2 from rounding the differences X0 - X and A0 - A;
+          - gamma_(n+1) h^2 from the length-n inner products and S, T;
+          - gamma_6 h^2 from scaling by Re mu, |mu|^2, Im mu and summing.
+        So the computed G^ has ||G^ - G||_2 <= gamma_(n+10) h^2 =: F.  ``eigvalsh``
+        returns lambda^ with |lambda^ - lambda_max(G^)| <= p(n) u ||G^||_2, taking
+        p(n) = n for LAPACK's "modestly growing function".  G is positive
+        semidefinite, so lambda_min(G^) >= -F and ||G^||_2 <= (|lambda^| + F) / (1 - n u).
+        Together ||E||^2 <= lambda^ + gamma_(n+10) h^2 + gamma_n (|lambda^| + F), which
+        gamma_(n+12) (h^2 + |lambda^|) covers; the two spare units absorb the
+        second-order terms and the rounding in evaluating the allowance and the
+        square roots.  Relative to ||E||, the bound is high by about
+        (n + 12) u (1 + h^2 / ||E||^2) / 2.
+        """
         keys = [()] * mus.size  # no term depends on mu: one Gram matrix for every mu
         if self.axes:
             coords = np.column_stack((mus.real, mus.real ** 2 + mus.imag ** 2, np.abs(mus.imag)))
@@ -168,42 +191,6 @@ class _Gram:
         return norms, np.where(crowded, "envelope", "gram")
 
 
-def perturbation_norms(x_diff: np.ndarray, a_diff: np.ndarray, mus) -> np.ndarray:
-    """Upper bounds on ||E(mu)||_2 for E(mu) = x_diff + mu a_diff, real blocks, every mu.
-
-    For real blocks E E^H = P + Re(mu) S + |mu|^2 R + i Im(mu) T with
-    P = Xd Xd^T, C = Ad Xd^T, S = C + C^T, T = C - C^T and R = Ad Ad^T, so
-    ||E(mu)||^2 = lambda_max(G(mu)).  Only the nonzero terms are formed, and
-    G depends on mu only through (Re mu, |mu|^2, |Im mu|) restricted to them:
-    a conjugate pair shares one eigensolve, and Ad = 0 needs one in all.
-
-    Rounding allowance.  Let u be the unit roundoff, gamma_k = k u / (1 - k u),
-    n the larger dimension, f >= ||abs(Xd)||_2, g >= ||abs(Ad)||_2 (from
-    ``_abs_norm_bound``) and h = f + sqrt(2) |mu| g.  Every matrix formed is
-    bounded entrywise by |Xd||Xd|^T, |Ad||Xd|^T, |Xd||Ad|^T or |Ad||Ad|^T, so
-    with |Re mu| + |Im mu| <= sqrt(2) |mu| the errors against the exact Gram
-    matrix G of the exact E are at most:
-      - gamma_3 h^2 from rounding the differences X0 - X and A0 - A;
-      - gamma_(n+1) h^2 from the length-n inner products and S, T;
-      - gamma_6 h^2 from scaling by Re mu, |mu|^2, Im mu and summing.
-    So the computed G^ has ||G^ - G||_2 <= gamma_(n+10) h^2 =: F.  ``eigvalsh``
-    returns lambda^ with |lambda^ - lambda_max(G^)| <= p(n) u ||G^||_2, taking
-    p(n) = n for LAPACK's "modestly growing function".  G is positive
-    semidefinite, so lambda_min(G^) >= -F and ||G^||_2 <= (|lambda^| + F) / (1 - n u).
-    Together ||E||^2 <= lambda^ + gamma_(n+10) h^2 + gamma_n (|lambda^| + F), which
-    gamma_(n+12) (h^2 + |lambda^|) covers; the two spare units absorb the
-    second-order terms and the rounding in evaluating the allowance and the
-    square roots.  Relative to ||E||, the bound is high by about
-    (n + 12) u (1 + h^2 / ||E||^2) / 2.
-    """
-    x_diff = np.asarray(x_diff, dtype=float)
-    a_diff = np.asarray(a_diff, dtype=float)
-    mus = np.asarray(mus, dtype=complex).ravel()
-    if max(x_diff.shape) == 0:
-        return np.zeros(mus.size)
-    return _Gram(x_diff, a_diff).exact(mus)
-
-
 def _gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u), with u the unit roundoff."""
     u = np.finfo(float).eps / 2
@@ -247,15 +234,9 @@ def _norms(x_diff: np.ndarray, a_diff: np.ndarray, mus: np.ndarray) -> Tuple[np.
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """An upper bound on ||m||_2 of a real matrix: exact for a diagonal m, else ``perturbation_norms``."""
+    """An upper bound on ||m||_2 of a real matrix: exact for a diagonal m, else ``_Gram.exact``."""
     m = np.asarray(m, dtype=float)
     return float(_norms(m, np.zeros_like(m), np.zeros(1, dtype=complex))[0][0])
-
-
-def _check_reference(pair: QepPair) -> None:
-    """Raise unless the reference has a symmetric A and X = cI, so kappa(P) = 1."""
-    if not pair.symmetric_scalar:
-        raise NotQepDiagonalizableError("the reference pencil needs a symmetric A and X = cI")
 
 
 def qep_bound(
@@ -282,13 +263,14 @@ def qep_bound(
         holds more than two conjugate classes is bounded by interpolating
         the norms at the cell's corners, after splitting cells whose centre
         lies well below that interpolation (``_Gram.envelope``).
-      - "gram": every other mu, from ``perturbation_norms``: one eigensolve
+      - "gram": every other mu, from ``_Gram.exact``: one eigensolve
         per conjugate class, one in all when A0 = A.  Among them are 1 and
         beta/alpha of a K pencil, which sit in cells of their own.
     "diagonal" and "gram" are exact up to a rounding allowance of about
     n u relative; "envelope" is looser, by a few percent in tested pencils.
     """
-    _check_reference(l0)
+    if not l0.symmetric_scalar:
+        raise NotQepDiagonalizableError("the reference pencil needs a symmetric A and X = cI")
     if spec0 is None:
         spec0 = l0.spectrum()
     if spec is None:
@@ -320,39 +302,3 @@ def _nearest(mus: np.ndarray, nus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         nearest[start:start + rows] = gaps.argmin(axis=1)
         dists[start:start + rows] = gaps.min(axis=1)
     return nearest, dists
-
-
-def corollary_bound(a: np.ndarray, x_block: np.ndarray, y_block: np.ndarray) -> float:
-    """Global radius sqrt(||X - Y||) for the shared-A case; (A, X) must be ``symmetric_scalar``."""
-    _check_reference(QepPair(a, x_block))
-    return float(np.sqrt(spectral_norm(np.asarray(x_block) - np.asarray(y_block))))
-
-
-def cluster_certificate(
-    spec0: np.ndarray,
-    spec: np.ndarray,
-    epsilon: float,
-    k_subset: Sequence[int],
-) -> Tuple[int, int, bool]:
-    """Eigenvalue-count certificate over a union of epsilon-balls.
-
-    Returns (expected, observed, separated): whether the balls around the
-    selected reference eigenvalues are disjoint from the balls around the
-    rest, and if so how many perturbed eigenvalues land inside the selected
-    union (the theorem says exactly |k_subset| when separated).
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    nus = np.asarray(spec0, dtype=complex)
-    sel = np.zeros(nus.size, dtype=bool)
-    sel[list(k_subset)] = True
-    expected = int(sel.sum())
-    if expected and (~sel).any():
-        gap = np.abs(nus[sel][:, None] - nus[~sel][None, :]).min()
-        separated = bool(gap > 2 * epsilon)
-    else:
-        separated = True
-    inside = np.abs(np.asarray(spec)[:, None] - nus[sel][None, :]).min(axis=1) <= epsilon \
-        if expected else np.zeros(len(spec), dtype=bool)
-    observed = int(np.count_nonzero(inside))
-    return expected, observed, separated

@@ -23,12 +23,7 @@ from nbspec.analysis import (
 from nbspec.eig import eigs_general, eigs_symmetric, match_spectra
 from nbspec.graphgen import complete_graph, er_pool, expected_stats, fig1_params, sample_sbm
 from nbspec.operators import build_B, build_H, build_H0, build_K, build_K0
-from nbspec.qep import (
-    cluster_certificate,
-    corollary_bound,
-    qep_bound,
-    spectral_norm,
-)
+from nbspec.qep import qep_bound, spectral_norm
 
 
 def _report(num, desc, ok):
@@ -164,9 +159,10 @@ def test_criterion_7_square_root_improvement():
     stats = expected_stats(params)
     h0 = build_H0(g, stats)
     h = build_H(g)
-    eps_qep = corollary_bound(h0.a_block, h0.x_block, h.x_block)
+    norm = spectral_norm(h0.x_block - h.x_block)
+    eps_qep = math.sqrt(norm)  # the shared-A radius of every mu
     _, q = np.linalg.eig(h0.matrix)
-    eps_classical = np.linalg.cond(q) * spectral_norm(h0.x_block - h.x_block)
+    eps_classical = np.linalg.cond(q) * norm
     _report(
         7,
         f"QEP radius {eps_qep:.3f} < classical Bauer-Fike {eps_classical:.3f} at n=400",
@@ -197,16 +193,14 @@ def test_criterion_9_insider_existence(fig1_runs, fig1_spectra):
     _, spec = fig1_spectra
     report = qep_bound(k0, k, spec0=spec0, spec=spec)
     eps = report.epsilon_global
-    zeta1 = int(np.argmin(np.abs(spec0 - 1.0)))
-    zeta2 = int(np.argmin(np.abs(spec0 - stats.beta / stats.alpha)))
-    e1, o1, sep1 = cluster_certificate(spec0, spec, eps, [zeta1])
-    e2, o2, sep2 = cluster_certificate(spec0, spec, eps, [zeta2])
-    ok = report.all_within_bound() and (e1, o1) == (1, 1) and (e2, o2) == (1, 1)
+    # the eigenvalues of K within eps of the K0 eigenvalue nearest 1 and nearest beta/alpha
+    counts = [np.count_nonzero(np.abs(spec - spec0[np.argmin(np.abs(spec0 - target))]) <= eps)
+              for target in (1.0, stats.beta / stats.alpha)]
+    ok = report.all_within_bound() and counts == [1, 1]
     _report(
         9,
         f"K0/K insiders: one eigenvalue each near 1 and beta/alpha~"
-        f"{stats.beta / stats.alpha:.3f} (eps {eps:.3f}, "
-        f"separated={sep1}/{sep2})",
+        f"{stats.beta / stats.alpha:.3f} (eps {eps:.3f}, within eps: {counts[0]}/{counts[1]})",
         ok,
     )
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nbspec import analysis, cli, eig
+from nbspec import analysis, cli, eig, operators
 from nbspec.cli import main
 from nbspec.graphgen import Graph, write_edge_list
 
@@ -95,6 +95,17 @@ class TestSpectrum:
         assert code == 0
         assert (tmp_path / "spectrum_B.csv").exists()
         assert json.loads(out)["dim_B"] == 6
+
+    @pytest.mark.parametrize("preset", ["k3", "regular:2,10"])
+    def test_same_spec_h_as_bound(self, tmp_path, capsys, preset):
+        # both commands take Spec(H) from QepPair.spectrum: the values agree exactly
+        assert main(["spectrum", "--preset", preset, "--out", str(tmp_path)]) == 0
+        assert main(["bound", "--pair", "H", "--preset", preset, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = (tmp_path / "spectrum_H.csv").read_text().splitlines()[1:]
+        spectrum = sorted(tuple(map(float, row.split(","))) for row in rows)
+        report = json.loads((tmp_path / "bound_H.json").read_text())
+        assert spectrum == sorted(tuple(row["mu"]) for row in report["per_mu"])
 
     def test_input_roundtrip(self, tmp_path, capsys):
         code, _ = run(capsys, "sample", "--n", "20", "--p", "0.6", "--q", "0.4",
@@ -619,7 +630,7 @@ class TestBlasThreads:
         return [set_threads(2) for set_threads in setters]
 
     @staticmethod
-    def _numeric_failure(graph):
+    def _numeric_failure(pair):
         raise eig.EigenSolveError("injected")
 
     @pytest.mark.parametrize("argv, expected", [
@@ -628,7 +639,8 @@ class TestBlasThreads:
         (["spectrum", "--preset", "k4"], 3),
     ], ids=["exit-0", "exit-2", "exit-3"])
     def test_count_restored_on_exit(self, tmp_path, capsys, monkeypatch, setters, argv, expected):
-        monkeypatch.setattr(cli, "_h_spectrum", self._numeric_failure)  # spectrum's exit 3
+        if expected == 3:
+            monkeypatch.setattr(operators.QepPair, "spectrum", self._numeric_failure)
         assert main([*argv, "--out", str(tmp_path)]) == expected
         assert self._counts(setters) == [2] * len(setters)
 

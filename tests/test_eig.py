@@ -52,8 +52,7 @@ class TestSymmetric:
         tilted = np.array([[1.0, 1.0], [1.0 + 2e-12, 1.0]])
         for m, symmetric in [(np.zeros((3, 3)), True), (np.eye(2) + 1e-13 * tilted, True),
                              (tilted, False)]:
-            pair = QepPair(m, m)
-            assert pair.a_symmetric == symmetric
+            assert QepPair(m, np.eye(len(m))).symmetric_scalar == symmetric
             if symmetric:
                 eigs_symmetric(m)
             else:

@@ -8,6 +8,7 @@ from hypothesis import example, given
 
 from nbspec.graphgen import (
     DegreeStats,
+    Graph,
     InvalidParameters,
     SbmParams,
     circulant,
@@ -150,6 +151,26 @@ class TestSampling:
         var_edges = pairs_intra * p * (1 - p) + pairs_inter * q * (1 - q)
         se = 2 / n * math.sqrt(var_edges / 200)
         assert abs(np.mean(means) - stats.alpha) <= 3 * se
+
+
+class TestGraphLabels:
+    def test_callers_array_stays_writable(self):
+        labels = np.array([0, 0, 1, 1], dtype=np.int8)
+        g = Graph(n=4, edges=[(0, 1)], labels=labels)
+        labels[0] = 1
+        assert g.labels.tolist() == [0, 0, 1, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            g.labels[0] = 1
+
+    def test_list_is_stored_as_int8(self):
+        g = Graph(n=4, edges=[(0, 1)], labels=[0, 0, 1, 1])
+        assert g.labels.dtype == np.int8
+        assert g.labels.tolist() == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("length", [0, 3, 7])
+    def test_rejects_length_other_than_n(self, length):
+        with pytest.raises(InvalidParameters):
+            Graph(n=4, edges=[(0, 1)], labels=np.zeros(length, dtype=np.int8))
 
 
 class TestDegreeConcentration:

@@ -23,9 +23,6 @@ from nbspec.operators import QepPair, build_H, build_H0, build_K, build_K0
 from nbspec.qep import (
     NotQepDiagonalizableError,
     QepBoundReport,
-    cluster_certificate,
-    corollary_bound,
-    perturbation_norms,
     qep_bound,
     spectral_norm,
 )
@@ -88,7 +85,7 @@ class TestQepBound:
         g, stats = fig1_instance
         h0 = build_H0(g, stats)
         h = build_H(g)
-        eps = corollary_bound(h0.a_block, h0.x_block, h.x_block)
+        eps = math.sqrt(spectral_norm(h0.x_block - h.x_block))
         maxdev, _, _ = degree_concentration(g, stats)
         assert eps == pytest.approx(math.sqrt(maxdev), rel=1e-6)
 
@@ -96,7 +93,7 @@ class TestQepBound:
         g = complete_graph(4)
         h = build_H(g)
         x = 2.0 * np.eye(4)  # alpha - 1 = 2 for the 3-regular K4
-        assert corollary_bound(g.adjacency(), -x, h.x_block) == 0.0
+        assert qep_bound(QepPair(g.adjacency(), -x), h).epsilon_global == 0.0
 
     def test_random_8x8_bound(self):
         rng = np.random.default_rng(3)
@@ -111,8 +108,7 @@ class TestQepBound:
         report = qep_bound(l0, l1)
         radii = {round(e, 12) for _, e, _, _ in report.per_mu}
         assert len(radii) == 1
-        cb = corollary_bound(l0.a_block, l0.x_block, l1.x_block)
-        assert report.epsilon_global == pytest.approx(cb, rel=1e-9)
+        assert report.epsilon_global == math.sqrt(spectral_norm(l0.x_block - l1.x_block))
 
     def test_monotone_in_perturbation_scale(self):
         rng = np.random.default_rng(5)
@@ -141,8 +137,6 @@ class TestQepBound:
         y = x + 1e-6 * np.eye(len(x))
         with pytest.raises(NotQepDiagonalizableError):
             qep_bound(QepPair(a, x), QepPair(a, y))
-        with pytest.raises(NotQepDiagonalizableError):
-            corollary_bound(a, x, y)
 
     def test_mu_dependent_radius_with_distinct_a(self):
         # different A blocks: radius varies with mu and the theorem still holds
@@ -300,9 +294,11 @@ class TestRadiiSoundness:
         assert set(report.norm_methods) == {"diagonal"}
 
     def test_h_corollary_bound(self):
+        # the shared-A case: one radius sqrt(||X0 - X||) for every mu
         h0, h = _h_pencils()
-        eps = corollary_bound(h0.a_block, h0.x_block, h.x_block)
+        eps = qep_bound(h0, h).epsilon_global
         exact = math.sqrt(np.linalg.norm(h0.x_block - h.x_block, 2))
+        assert eps == math.sqrt(spectral_norm(h0.x_block - h.x_block))
         assert exact <= eps <= exact * (1 + 1e-12)
 
     def test_random_pencils_with_generic_a_difference(self):
@@ -406,11 +402,11 @@ def test_matching_takes_the_first_of_equally_near_nu():
 
 
 class TestPerturbationNorms:
-    def _count_solves(self, monkeypatch, *args):
+    def _count_solves(self, monkeypatch, x_diff, a_diff, mus):
         calls = []
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or solve(m))
-        perturbation_norms(*args)
+        qep._Gram(x_diff, a_diff).exact(mus)
         return len(calls)
 
     def test_one_solve_per_conjugate_class(self, monkeypatch):
@@ -462,35 +458,8 @@ class TestPerturbationNorms:
         xd = rng.standard_normal((7, 7))
         ad = rng.standard_normal((7, 7))  # Ad Xd^T is not symmetric
         mus = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        norms = perturbation_norms(xd, ad, mus)
+        norms = qep._Gram(xd, ad).exact(mus)
         exact = np.array([np.linalg.norm(xd + mu * ad, 2) for mu in mus])
         assert np.all(norms >= exact)
         assert np.all(norms <= exact * (1 + 1e-12))
 
-
-class TestClusterCertificate:
-    def test_trivial_singleton(self):
-        spec = np.array([0.0, 5.0, 10.0])
-        expected, observed, separated = cluster_certificate(spec, spec, 1e-12, [1])
-        assert (expected, observed, separated) == (1, 1, True)
-
-    def test_non_separation_is_reported(self):
-        spec = np.array([0.0, 1.0])
-        expected, observed, separated = cluster_certificate(spec, spec, 0.6, [0])
-        assert not separated
-
-    def test_rejects_negative_epsilon(self):
-        spec = np.array([0.0])
-        with pytest.raises(ValueError):
-            cluster_certificate(spec, spec, -1.0, [0])
-
-    def test_h_vs_h0_outlier_ball(self, fig1_instance, fig1_spectra):
-        g, stats = fig1_instance
-        h0 = build_H0(g, stats)
-        h = build_H(g)
-        spec0 = h0.spectrum()
-        spec, _ = fig1_spectra
-        eps = corollary_bound(h0.a_block, h0.x_block, h.x_block)
-        k_top = [int(np.argmax(spec0.real))]
-        expected, observed, separated = cluster_certificate(spec0, spec, eps, k_top)
-        assert (expected, observed, separated) == (1, 1, True)
