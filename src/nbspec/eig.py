@@ -39,17 +39,17 @@ def _check_square(m: np.ndarray) -> np.ndarray:
 
 
 def _symmetric(m: np.ndarray) -> bool:
-    """Whether max |m - m^T| <= 1e-12 max |m|; a zero matrix is symmetric.
+    """Whether max |m - m^T| <= 1e-12 max |m|; a zero or empty matrix is symmetric.
 
     One n x n temporary: the difference, made absolute in place.
     """
     gap = m - m.T
     np.abs(gap, out=gap)
-    return bool(gap.max() <= 1e-12 * max(m.max(), -m.min()))
+    return bool(gap.max(initial=0.0) <= 1e-12 * max(m.max(initial=0.0), -m.min(initial=0.0)))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
-    """``values``, made read-only: every spectrum is returned that way."""
+    """``values``, made read-only: every spectrum, and the Bethe Hessian, is returned that way."""
     values.setflags(write=False)
     return values
 

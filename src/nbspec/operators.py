@@ -35,11 +35,11 @@ class DegreeTooSmallError(InvalidParameters):
 
 @dataclass(frozen=True)
 class QepPair:
-    """Coefficient blocks (A, X) of the pencil z^2 I - z A - X.
+    """Coefficient blocks (A, X) of the pencil Q(z) = z^2 I - z A - X.
 
-    H, H0, K and K0 are all such pencils; ``matrix`` is their 2n x 2n
-    linearization, built on each access rather than stored, and
-    ``spectrum()`` its eigenvalues.
+    H, H0 and their ``reciprocal()`` pencils K, K0 are all such pencils;
+    ``matrix`` is their 2n x 2n linearization, built on each access rather
+    than stored, ``spectrum()`` its eigenvalues, and det(zI - ``matrix``) = det ``at(z)``.
     """
 
     a_block: np.ndarray
@@ -74,6 +74,8 @@ class QepPair:
         ``eigs_symmetric`` accepts.
         """
         x = self.x_block
+        if not x.size:
+            return True  # the empty pencil
         c = x[0, 0]
         tol = 1e-12 * max(abs(c), 1.0)
         if np.abs(np.diagonal(x) - c).max() > tol:
@@ -90,8 +92,29 @@ class QepPair:
         """
         if not self.symmetric_scalar:
             return eigs_general(self.matrix)
-        r1, r2 = quadratic_roots(eigs_symmetric(self.a_block), self.x_block[0, 0])
+        # c = x[0, 0] as a length-1 slice, which an empty pencil leaves empty
+        r1, r2 = quadratic_roots(eigs_symmetric(self.a_block), np.diagonal(self.x_block)[:1])
         return _read_only(np.column_stack((r1, r2)).ravel())
+
+    def at(self, z) -> np.ndarray:
+        """Q(z) = z^2 I - z A - X: n x n for a scalar z, a stack of them for an array.
+
+        Exactly symmetric for a symmetric A, a diagonal X and a real z: each
+        entry is computed from the same operands as its mirror image.
+        """
+        w = np.asarray(z)[..., None, None]
+        return w * w * np.eye(len(self.a_block)) - w * self.a_block - self.x_block
+
+    def reciprocal(self) -> QepPair:
+        """The pencil (-X^-1 A, X^-1): its Q(z) is -z^2 X^-1 Q_self(1/z), its spectrum 1/Spec(self).
+
+        X must be diagonal and nonsingular; any other X raises ``ValueError``.
+        """
+        d = np.diagonal(self.x_block)
+        if not np.count_nonzero(self.x_block) == np.count_nonzero(d) == len(d):
+            raise ValueError("reciprocal() needs a diagonal, nonsingular X")
+        inv = 1.0 / d
+        return QepPair(-inv[:, None] * self.a_block, np.diag(inv))
 
 
 def build_B(graph: Graph) -> np.ndarray:
@@ -116,9 +139,7 @@ def build_B(graph: Graph) -> np.ndarray:
 
 def build_H(graph: Graph) -> QepPair:
     """The pencil z^2 I - z A + D - I, whose linearization is [[A, I-D], [I, 0]]."""
-    a = graph.adjacency()
-    x = np.eye(graph.n) - np.diag(graph.degrees.astype(float))
-    return QepPair(a, x)
+    return QepPair(graph.adjacency(), np.eye(graph.n) - np.diag(graph.degrees.astype(float)))
 
 
 def build_H0(graph: Graph, stats: DegreeStats) -> QepPair:
@@ -129,43 +150,27 @@ def build_H0(graph: Graph, stats: DegreeStats) -> QepPair:
     """
     if stats.gamma <= 0:
         raise InvalidParameters(f"requires alpha > 1, got alpha = {stats.alpha}")
-    a = graph.adjacency()
-    x = -stats.gamma * np.eye(graph.n)
-    return QepPair(a, x)
+    return QepPair(graph.adjacency(), -stats.gamma * np.eye(graph.n))
 
 
 def build_K(graph: Graph) -> QepPair:
-    """[[ (D-I)^-1 A, -(D-I)^-1 ], [I, 0]]; same spectrum as H^-1.
+    """H's reciprocal [[(D-I)^-1 A, -(D-I)^-1], [I, 0]]; Spec(K) = 1/Spec(H).
 
     Requires every degree >= 2 so D - I is safely invertible.
     """
     if graph.min_degree() < 2:
-        raise DegreeTooSmallError(
-            f"K needs min degree >= 2, got {graph.min_degree()}"
-        )
-    inv = 1.0 / (graph.degrees.astype(float) - 1.0)
-    a = inv[:, None] * graph.adjacency()
-    x = -np.diag(inv)
-    return QepPair(a, x)
+        raise DegreeTooSmallError(f"K needs min degree >= 2, got {graph.min_degree()}")
+    return build_H(graph).reciprocal()
 
 
 def build_K0(graph: Graph, stats: DegreeStats) -> QepPair:
-    """[[ A/(alpha-1), -I/(alpha-1) ], [I, 0]]; same spectrum as H0^-1."""
-    if stats.gamma <= 0:
-        raise InvalidParameters(f"requires alpha > 1, got alpha = {stats.alpha}")
-    a = graph.adjacency() / stats.gamma
-    x = -np.eye(graph.n) / stats.gamma
-    return QepPair(a, x)
+    """H0's reciprocal [[A/(alpha-1), -I/(alpha-1)], [I, 0]]; Spec(K0) = 1/Spec(H0)."""
+    return build_H0(graph, stats).reciprocal()
 
 
 def bethe_hessian(graph: Graph, r: float) -> np.ndarray:
-    """The deformed Laplacian (r^2 - 1) I + D - r A, read-only and exactly symmetric.
+    """The deformed Laplacian (r^2 - 1) I + D - r A = Q_H(r), read-only and exactly symmetric.
 
     At r = 1 this is the graph Laplacian.
     """
-    n = graph.n
-    m = (r * r - 1.0) * np.eye(n) + np.diag(graph.degrees.astype(float))
-    m -= r * graph.adjacency()
-    m = (m + m.T) / 2.0  # kill roundoff asymmetry from the subtraction
-    m.setflags(write=False)
-    return m
+    return _read_only(build_H(graph).at(r))

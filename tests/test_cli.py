@@ -393,16 +393,20 @@ class TestExitCodes:
         assert not out.exists()
 
     @staticmethod
-    def _assert_exit_code_meaning(argv):
-        """Exit 0, 1 or 2, never 3 or 4; exit 2 prints exactly one `error:` line."""
+    def _assert_exit_code_meaning(argv, out=None):
+        """Exit 0, 1 or 2, never 3 or 4; exit 2 prints exactly one `error:` line.
+
+        Writes to ``out``, or to a temporary directory; returns the exit code.
+        """
         stdout, stderr = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as out, \
+        with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([*argv, "--out", out])
+            code = main([*argv, "--out", str(out or tmp)])
         err = stderr.getvalue()
         assert code in (0, 1, 2), (argv, code, err)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        return code
 
     PROPERTY_COMMANDS = (["sample"], ["spectrum"], ["classify"],
                          ["bound", "--pair", "H"], ["bound", "--pair", "K"])
@@ -425,6 +429,22 @@ class TestExitCodes:
         for command in self.PROPERTY_COMMANDS:
             self._assert_exit_code_meaning(
                 [*command, "--n", str(n), "--p", repr(p), "--q", repr(q), "--seed", str(seed)])
+
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(st.integers(2, 24).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+    def test_regular_preset_exit_codes(self, d_n):
+        # a regular graph's pencil is its own reference (H = H0, K = K0), so
+        # where bound passes every distance is exactly 0
+        preset = "regular:{},{}".format(*d_n)
+        with tempfile.TemporaryDirectory() as tmp:
+            for command in self.PROPERTY_COMMANDS:
+                out = Path(tmp) / "-".join(command)
+                code = self._assert_exit_code_meaning([*command, "--preset", preset], out)
+                if command[0] == "bound" and code == 0:
+                    report = json.loads((out / f"bound_{command[-1]}.json").read_text())
+                    distances = {row["distance"] for row in report["per_mu"]}
+                    assert distances <= {0.0}, (preset, command)
 
 
 class TestBound:
@@ -483,6 +503,15 @@ class TestBound:
 
 
 class TestVerify:
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(st.integers(0, 2**40))
+    @example(2**31 - 1)
+    def test_drawn_seeds_pass(self, seed):
+        stdout = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(stdout):
+            code = main(["verify", "--seed", str(seed), "--out", out])
+        assert code == 0 and json.loads(stdout.getvalue())["pass"], seed
+
     def test_default_suite_passes(self, tmp_path, capsys):
         code, out = run(capsys, "verify", "--out", str(tmp_path))
         doc = json.loads(out)
@@ -608,6 +637,31 @@ def test_imports_are_the_declared_dependencies():
     project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
     assert imported == declared
+
+
+def test_src_imports_are_all_used():
+    """Every name a module of ``src/nbspec`` imports is used in it, or listed in its ``__all__``.
+
+    ``__init__.py`` is left out: it imports only to re-export.
+    """
+    unused = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "nbspec").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__":
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused
 
 
 class TestBlasThreads:

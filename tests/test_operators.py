@@ -6,6 +6,7 @@ import pytest
 from nbspec.eig import eigs_general, eigs_symmetric, match_spectra, quadratic_roots
 from nbspec.graphgen import (
     DegreeStats,
+    Graph,
     SbmParams,
     circulant,
     complete_graph,
@@ -14,6 +15,7 @@ from nbspec.graphgen import (
 )
 from nbspec.operators import (
     DegreeTooSmallError,
+    QepPair,
     TooLargeError,
     bethe_hessian,
     build_B,
@@ -27,6 +29,106 @@ from conftest import make_graph, path3
 
 
 K4_H_SPECTRUM = [2, 1] + [complex(-0.5, s * math.sqrt(7) / 2) for s in (1, -1)] * 3
+
+# the points at which verify's Ihara-Bass and reciprocity checks compare determinants
+IHARA_BASS_Z = 2.5 * np.exp(1j * np.array([0.3, 1.7, 2.9]))
+
+
+def _random_pencil(seed, diagonal_x=False):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    x = np.diag(rng.uniform(0.5, 2.0, n)) if diagonal_x else rng.standard_normal((n, n))
+    return QepPair(rng.standard_normal((n, n)), x)
+
+
+def _sbm_pencils():
+    """H, K, H0 and K0 of a small SBM of min degree >= 2."""
+    params = SbmParams(n=18, p=0.7, q=0.5, seed=3)
+    g, stats = sample_sbm(params), expected_stats(params)
+    assert g.min_degree() >= 2
+    return {"H": build_H(g), "K": build_K(g), "H0": build_H0(g, stats), "K0": build_K0(g, stats)}
+
+
+def _det_gap(sign_logdet_1, sign_logdet_2):
+    """max |det_1 / det_2 - 1| of two ``slogdet`` results."""
+    (s1, l1), (s2, l2) = sign_logdet_1, sign_logdet_2
+    return float(np.abs(s1 / s2 * np.exp(l1 - l2) - 1).max())
+
+
+class TestQepPair:
+    @pytest.mark.parametrize("pair", [
+        *(_random_pencil(seed) for seed in range(4)),
+        *_sbm_pencils().values(),
+    ], ids=[*(f"random-{seed}" for seed in range(4)), *_sbm_pencils()])
+    def test_linearization_identity(self, pair):
+        # det(zI - [[A, X], [I, 0]]) = det(z^2 I - zA - X)
+        z = IHARA_BASS_Z[:, None, None]
+        m = pair.matrix
+        lhs = np.linalg.slogdet(z * np.eye(len(m)) - m)
+        assert _det_gap(lhs, np.linalg.slogdet(pair.at(IHARA_BASS_Z))) <= 1e-10
+
+    def test_at_scalar_and_stack(self):
+        pair = _random_pencil(7)
+        stack = pair.at(IHARA_BASS_Z)
+        assert stack.shape == (3, *pair.a_block.shape)
+        for k, z in enumerate(IHARA_BASS_Z):
+            assert np.array_equal(stack[k], pair.at(z))
+        q = _sbm_pencils()["H"].at(0.7)
+        assert np.array_equal(q, q.T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reciprocal_pencil_identity(self, seed):
+        # Q_rec(z) = -z^2 X^-1 Q(1/z), entry by entry
+        pair = _random_pencil(seed, diagonal_x=True)
+        rec = pair.reciprocal()
+        z = IHARA_BASS_Z[:, None, None]
+        expected = -z * z * (pair.at(1.0 / IHARA_BASS_Z) / np.diagonal(pair.x_block)[:, None])
+        assert np.allclose(rec.at(IHARA_BASS_Z), expected, rtol=0, atol=1e-12)
+
+    def test_k_and_k0_are_the_reciprocals_of_h_and_h0(self):
+        params = SbmParams(n=18, p=0.7, q=0.5, seed=3)
+        g, stats = sample_sbm(params), expected_stats(params)
+        k, k0 = build_K(g), build_K0(g, stats)
+        # the closed forms they had before they were derived from H and H0
+        inv = 1.0 / (g.degrees - 1.0)
+        assert np.array_equal(k.a_block, inv[:, None] * g.adjacency())
+        assert np.array_equal(k.x_block, -np.diag(inv))
+        assert np.array_equal(k0.a_block, g.adjacency() / stats.gamma)
+        assert np.array_equal(k0.x_block, -np.eye(g.n) / stats.gamma)
+
+    def test_reference_pencils_reciprocity(self):
+        # Spec(K0) = 1/Spec(H0), as a determinant identity and as spectra:
+        # det Q_K0(z) gamma^n = z^(2n) det Q_H0(1/z), with det(-X_H0) = gamma^n
+        pencils = _sbm_pencils()
+        h0, k0 = pencils["H0"], pencils["K0"]
+        n, gamma = len(h0.a_block), -h0.x_block[0, 0]
+        sign_k, log_k = np.linalg.slogdet(k0.at(IHARA_BASS_Z))
+        lhs = (sign_k, log_k + n * np.log(gamma) - 2 * n * np.log(IHARA_BASS_Z))
+        assert _det_gap(lhs, np.linalg.slogdet(h0.at(1.0 / IHARA_BASS_Z))) <= 1e-10
+        ok, gap = match_spectra(k0.spectrum(), 1.0 / h0.spectrum(), tolerance=1e-10)
+        assert ok, gap
+
+    @pytest.mark.parametrize("x", [
+        1.5 * np.eye(5) + 0.1 * np.random.default_rng(0).uniform(-1, 1, (5, 5)),  # cI + E
+        np.diag([1.0, -2.0, 0.0, 3.0, 0.5]),
+    ], ids=["not-diagonal", "singular"])
+    def test_reciprocal_rejects(self, x):
+        with pytest.raises(ValueError, match="diagonal, nonsingular"):
+            QepPair(np.ones((5, 5)), x).reciprocal()
+
+    def test_reciprocal_rejects_h_with_degree_one(self):
+        # X = I - D is 0 at a degree-1 vertex
+        with pytest.raises(ValueError, match="diagonal, nonsingular"):
+            build_H(path3()).reciprocal()
+
+    def test_empty_pencil(self):
+        h = build_H(Graph(n=0, edges=np.zeros((0, 2)), labels=[]))
+        assert h.symmetric_scalar
+        spec = h.spectrum()
+        assert spec.shape == (0,) and spec.dtype == np.complex128
+        assert not spec.flags.writeable
+        assert h.at(1.5).shape == (0, 0)
+        assert h.at(IHARA_BASS_Z).shape == (3, 0, 0)
 
 
 class TestBuildB:
@@ -206,6 +308,14 @@ class TestBetheHessian:
         m = bethe_hessian(g, 1.7320508)
         assert np.array_equal(m, m.T)
         assert not m.flags.writeable
+
+    @pytest.mark.parametrize("r", [1.7320508, 0.3, -2.5])
+    def test_is_h_at_r(self, r):
+        g = sample_sbm(SbmParams(n=30, p=0.5, q=0.2, seed=1))
+        m = bethe_hessian(g, r)
+        assert np.array_equal(m, build_H(g).at(r))
+        deformed = (r * r - 1.0) * np.eye(g.n) + np.diag(g.degrees * 1.0) - r * g.adjacency()
+        assert np.allclose(m, deformed, rtol=0, atol=1e-12)
 
     def test_fig1_two_negative_eigenvalues(self, fig1_instance):
         g, stats = fig1_instance
