@@ -74,21 +74,24 @@ def eigs_general(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a general real square matrix: a read-only complex128 array.
 
     Complex even when every eigenvalue is real.  Backed by the LAPACK dense
-    path (balancing, Hessenberg reduction, implicitly shifted QR).  A
-    trace-consistency check guards against silent breakage: sum of
-    eigenvalues must match the trace to 1e-6 relative.
+    path (balancing, Hessenberg reduction, implicitly shifted QR).  Two
+    checks guard against silent breakage, each raising ``EigenSolveError``:
+    every eigenvalue must be finite, and their sum must match the trace to
+    1e-6 relative, a test that a NaN on either side fails.
     """
     m = _check_square(m)
     try:
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:  # QR iteration cap exceeded
         raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
-    tr = np.trace(m)
-    ref = max(np.abs(tr), np.abs(w).sum(), 1.0)
-    if abs(w.sum() - tr) > 1e-6 * ref:
-        raise EigenSolveError(
-            f"trace consistency violated: sum(eigs)={w.sum()!r} trace={tr!r}"
-        )
+    if not np.isfinite(w).all():
+        raise EigenSolveError("eigensolver returned a non-finite eigenvalue")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
+        tr = np.trace(m)
+        total = w.sum()
+        ref = max(np.abs(tr), np.abs(w).sum(), 1.0)
+        if not abs(total - tr) <= 1e-6 * ref:
+            raise EigenSolveError(f"trace consistency violated: sum(eigs)={total!r} trace={tr!r}")
     return _read_only(w.astype(complex, copy=False))
 
 

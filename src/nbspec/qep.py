@@ -11,9 +11,8 @@ its P is orthogonal, so kappa(P) = 1 and eps(mu) = sqrt(||X - Y + mu (A - B)||).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,21 +52,23 @@ class QepBoundReport:
         return all(dist <= eps for _, eps, _, dist in self.per_mu)
 
     def to_json(self) -> str:
-        doc = {
-            "kappa": self.kappa,
-            "epsilon_global": self.epsilon_global,
-            "per_mu": [
-                {
-                    "mu": [mu.real, mu.imag],
-                    "epsilon": eps,
-                    "matched_nu": [nu.real, nu.imag],
-                    "distance": dist,
-                    "norm_method": method,
-                }
-                for (mu, eps, nu, dist), method in zip(self.per_mu, self.norm_methods)
-            ],
-        }
-        return json.dumps(doc, indent=2)
+        """``json.dumps`` of the report with ``indent=2``, byte for byte, each row from one template.
+
+        Numbers are written by ``str``, which spells a finite float as json
+        does, and NaN and +-inf as nan and +-inf.  Only a number follows a
+        space and starts with n, i or -i, so three replacements give json's
+        NaN, Infinity and -Infinity.  Methods are plain words, written unescaped.
+        """
+        row = ('    {\n      "mu": [\n        %s,\n        %s\n      ],\n      "epsilon": %s,\n'
+               '      "matched_nu": [\n        %s,\n        %s\n      ],\n      "distance": %s,\n'
+               '      "norm_method": "%s"\n    }')
+        rows = ",\n".join(
+            row % (mu.real, mu.imag, eps, nu.real, nu.imag, dist, method)
+            for (mu, eps, nu, dist), method in zip(self.per_mu, self.norm_methods)
+        )
+        text = '{\n  "kappa": %s,\n  "epsilon_global": %s,\n  "per_mu": %s\n}' % (
+            self.kappa, self.epsilon_global, "[\n" + rows + "\n  ]" if rows else "[]")
+        return text.replace(" nan", " NaN").replace(" inf", " Infinity").replace(" -inf", " -Infinity")
 
 
 def _abs_norm_bound(m: np.ndarray) -> float:
@@ -82,10 +83,12 @@ class _Gram:
     P = Xd Xd^T, C = Ad Xd^T, S = C + C^T, T = C - C^T and R = Ad Ad^T.
     ``axes`` index the coordinates (Re mu, |mu|^2, |Im mu|) that scale them;
     f >= ||abs(Xd)||_2 and g >= ||abs(Ad)||_2 come from ``_abs_norm_bound``.
+    Xd and Ad themselves are kept for ``lower_bounds``.
     """
 
     def __init__(self, x_diff: np.ndarray, a_diff: np.ndarray):
         self.n = max(x_diff.shape)
+        self.x_diff, self.a_diff = x_diff, a_diff
         self.p = x_diff @ x_diff.T
         self.f, self.g = _abs_norm_bound(x_diff), 0.0
         terms = []  # (axis, matrix, unit)
@@ -138,6 +141,48 @@ class _Gram:
         h = self.f + np.sqrt(2.0) * np.abs(mus) * self.g
         return np.sqrt(np.maximum(lam + _gamma(self.n + 12) * (h * h + np.abs(lam)), 0.0))
 
+    def lower_bounds(self, c: complex) -> Iterator[float]:
+        """Rising lower bounds on ||E(c)||_2, one per power step, at most 16.
+
+        From the all-ones vector, each step applies E(c) or E(c)^H in turn,
+        never forming them: a complex vector is held as its real and
+        imaginary columns, E v = Xd v + c (Ad v) is two real products and
+        the multiplication by c a product with a 2 x 2 real matrix.  As
+        ||E^H|| = ||E||, every ratio ||w|| / ||v|| of the vector after a step
+        to the one before it is at most ||E||; in exact arithmetic the ratios
+        rise towards it.  The generator stops early when a vector vanishes.
+
+        Rounding allowance, with u, gamma_k, n, f, g and h = f + sqrt(2) |c| g
+        as in ``exact``.  Each real product of an n x n block with a column
+        is within gamma_n of |block| |column| entrywise, so the two are off by
+        at most gamma_n f ||v|| and gamma_n g ||v|| in norm.  Multiplying by c
+        adds sqrt(2) gamma_2 |c| |(Ad v)_i| per entry, and the sum u per
+        entry.  The differences X0 - X and A0 - A are within u of their own
+        entries, which moves E by u (f + |c| g).  So the computed w is within
+        gamma_(n+4) h ||v|| of E v for the exact E, to first order.  A norm
+        is the square root of a sum of 2n squares, within gamma_(n+2) of
+        itself, and the ratio of two norms within gamma_(2n+5).  So each
+        ratio r gives ||E|| >= r (1 - gamma_(2n+8)) - gamma_(n+8) h; the spare
+        units absorb the second-order terms and the rounding in evaluating
+        the bound.
+        """
+        turn = np.array([[c.real, c.imag], [-c.imag, c.real]])  # [p, q] @ turn: c (p + i q)
+        steps = ((self.x_diff, self.a_diff, turn), (self.x_diff.T, self.a_diff.T, turn.T))
+        keep = 1 - _gamma(2 * self.n + 8)
+        slack = _gamma(self.n + 8) * (self.f + np.sqrt(2.0) * abs(c) * self.g)
+        v = np.zeros((self.n, 2))
+        v[:, 0] = 1.0
+        size = np.sqrt(v.ravel() @ v.ravel())
+        for step in range(16):
+            x, a, rot = steps[step % 2]
+            w = x @ v + (a @ v) @ rot
+            w_size = np.sqrt(w.ravel() @ w.ravel())
+            if not w_size:
+                return
+            yield w_size / size * keep - slack
+            v = w / w_size
+            size = np.sqrt(v.ravel() @ v.ravel())
+
     def envelope(self, mus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Upper bounds on ||E(mu)||_2 for every mu, and the method of each.
 
@@ -148,10 +193,14 @@ class _Gram:
         corners x + i y.  A cell of more than two conjugate classes is split
         in four at its centre while the mean of its corners' norms exceeds
         the centre's by more than ``ENVELOPE_RTOL``, as around the minimum of
-        ||E||, where it curves most.  Then each of its mu gets that
-        combination of the corners' norms ("envelope").  Corners and centres
-        are shared between cells, each bounded by ``exact``, and every other
-        mu gets its class solve ("gram").
+        ||E||, where it curves most.  The centre is first tried with
+        ``lower_bounds``: once (1 + ``ENVELOPE_RTOL``) times one of them
+        reaches the mean, the cell stays whole with no eigensolve, since
+        ``exact`` at the centre is at least that bound and would keep it
+        whole too.  Only a centre left unsettled is bounded by ``exact``.
+        Then each mu of a cell gets the bilinear combination of the corners'
+        norms ("envelope").  Corners are shared between cells, each bounded
+        by ``exact``, and every other mu gets its class solve ("gram").
 
         Rounding: Re mu and |Im mu| are exact and lie in their cell, as the
         split compares them with the centre, and the corners are exact.  Each
@@ -175,8 +224,10 @@ class _Gram:
                 # a side with no float strictly between its ends is not split
                 xm = (x0 + x1) / 2 if x0 < (x0 + x1) / 2 < x1 else x0
                 ym = (y0 + y1) / 2 if y0 < (y0 + y1) / 2 < y1 else y0
+                mean, centre = corner.mean(), xm + 1j * ym
                 if (xm, ym) != (x0, y0) and \
-                        corner.mean() > (1 + ENVELOPE_RTOL) * self.exact(np.array([xm + 1j * ym]))[0]:
+                        not any((1 + ENVELOPE_RTOL) * low >= mean for low in self.lower_bounds(centre)) and \
+                        mean > (1 + ENVELOPE_RTOL) * self.exact(np.array([centre]))[0]:
                     right, upper = x[m] >= xm, y[m] >= ym
                     cells += [((x0, xm)[r], (xm, x1)[r], (y0, ym)[u], (ym, y1)[u],
                                m[(right == r) & (upper == u)]) for r in (0, 1) for u in (0, 1)]

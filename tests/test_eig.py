@@ -125,6 +125,19 @@ class TestGeneral:
         with pytest.raises(ValueError):
             eigs_general(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("m", [
+        [[1e308, 1e308], [1e308, 1e308]],  # LAPACK returns inf and 2.2e292
+        [[1e308, 0.0], [0.0, 1e308]],  # finite eigenvalues whose sum and trace overflow
+    ], ids=["infinite-eigenvalue", "overflowing-trace"])
+    def test_rejects_what_it_cannot_check(self, m):
+        with pytest.raises(eig.EigenSolveError):
+            eigs_general(np.array(m))
+
+    def test_nan_eigenvalue_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: np.full(len(m), np.nan))
+        assert cli.main(["spectrum", "--n", "40", "--p", "0.5", "--q", "0.2", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestQuadraticRoots:
     def test_factored(self):

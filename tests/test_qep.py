@@ -173,6 +173,56 @@ class TestQepBound:
         assert len(doc["per_mu"]) == len(report.per_mu)
 
 
+def _json_dumps(report):
+    """``json.dumps`` with ``indent=2`` of the report's document, as ``to_json`` must write it."""
+    return json.dumps({
+        "kappa": report.kappa,
+        "epsilon_global": report.epsilon_global,
+        "per_mu": [
+            {"mu": [mu.real, mu.imag], "epsilon": eps, "matched_nu": [nu.real, nu.imag],
+             "distance": dist, "norm_method": method}
+            for (mu, eps, nu, dist), method in zip(report.per_mu, report.norm_methods)
+        ],
+    }, indent=2)
+
+
+class TestReportJson:
+    """``to_json`` writes json.dumps's bytes, whatever the values."""
+
+    VALUES = [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf, 0.1, 1.0, -2.5e-310]
+
+    def test_every_value_in_every_field(self):
+        methods = ["diagonal", "gram", "envelope"]
+        per_mu, n = [], len(self.VALUES)
+        for i, x in enumerate(self.VALUES):
+            for k in range(n):  # each value beside every other, in each field
+                y = self.VALUES[(i + k) % n]
+                per_mu.append((complex(x, y), y, complex(y, x), x))
+        report = QepBoundReport(per_mu, tuple(methods[i % 3] for i in range(len(per_mu))))
+        assert report.to_json() == _json_dumps(report)
+        for x in self.VALUES:  # epsilon_global takes each value too
+            one = QepBoundReport([(complex(x, x), x, complex(x, x), x)], ("gram",))
+            assert one.to_json() == _json_dumps(one)
+
+    def test_numpy_floats(self):
+        report = QepBoundReport([(1j, np.float64(1e16), complex(np.float64(0.1)), np.float64(-0.0))],
+                                ("envelope",))
+        assert report.to_json() == _json_dumps(report)
+
+    def test_no_rows(self):
+        report = QepBoundReport(per_mu=[], norm_methods=())
+        assert report.to_json() == _json_dumps(report) == \
+            '{\n  "kappa": 1.0,\n  "epsilon_global": 0.0,\n  "per_mu": []\n}'
+
+    @pytest.mark.parametrize("pencils", [
+        lambda: _k_pencils(100000),
+        lambda: _h_pencils(seed=100000),
+    ], ids=["certify-k", "certify-h"])
+    def test_reports_of_the_first_bench_ops(self, pencils):
+        report = qep_bound(*pencils())
+        assert report.to_json() == _json_dumps(report)
+
+
 def _lapack_radii(l0, l1, report):
     """The radii of ``report`` recomputed with LAPACK's 2-norm of each E(mu)."""
     xd = l0.x_block - l1.x_block
@@ -237,8 +287,8 @@ def _shifted_a_pencils(n=50):
     return QepPair(np.eye(n), -0.6 * np.eye(n)), QepPair(1.1 * np.eye(n), -np.diag(d))
 
 
-def _h_pencils():
-    params = fig1_params("right", n=400)
+def _h_pencils(seed=1):
+    params = fig1_params("right", n=400, seed=seed)
     g = sample_sbm(params)
     return build_H0(g, expected_stats(params)), build_H(g)
 
@@ -425,16 +475,17 @@ class TestPerturbationNorms:
         assert solves == 1
 
     def test_k_pencil_takes_few_solves(self, monkeypatch):
-        # about one per envelope cell and isolated mu, where the Gram
-        # expansion alone needs one per conjugate class
-        l0, l1 = _k_pencils()
+        # one per corner and isolated mu, where the Gram expansion alone
+        # needs one per conjugate class: power steps settle every centre
+        # (the certify-K op of --seed 100000; 25 solves before the centre rule)
+        l0, l1 = _k_pencils(100000)
         spec0, spec = l0.spectrum(), l1.spectrum()
         calls = []
         solve = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or solve(m))
         qep_bound(l0, l1, spec0=spec0, spec=spec)
         classes = len({(mu.real, abs(mu.imag)) for mu in spec})
-        assert 0 < len(calls) < classes / 3
+        assert len(calls) == 20 < classes / 3
 
     def test_pencil_off_the_k_structure_takes_few_solves(self, monkeypatch):
         # grid vertices are shared between cells whatever the pencil
@@ -463,3 +514,59 @@ class TestPerturbationNorms:
         assert np.all(norms >= exact)
         assert np.all(norms <= exact * (1 + 1e-12))
 
+
+def _unsettled(self, c):
+    """A lower bound that never settles a centre: every centre takes its exact solve."""
+    return iter(())
+
+
+class TestCentreRule:
+    """A centre settled by ``_Gram.lower_bounds`` changes no value."""
+
+    @pytest.mark.parametrize("pencils", [
+        lambda: _k_pencils(3), lambda: _k_pencils(18), lambda: _k_pencils(300007),
+        lambda: _k_pencils(100000), _real_gram_pencils, _complex_gram_pencils,
+        lambda: _random_pencils(np.random.default_rng(20), 60),
+    ], ids=["k-3", "k-18", "k-300007", "k-100000", "real-gram", "complex-gram", "random-n60"])
+    def test_norms_as_without_the_rule(self, monkeypatch, pencils):
+        l0, l1 = pencils()
+        args = (l0.x_block - l1.x_block, l0.a_block - l1.a_block, np.asarray(l1.spectrum(), dtype=complex))
+        norms, methods = qep._norms(*args)
+        monkeypatch.setattr(qep._Gram, "lower_bounds", _unsettled)
+        exact_norms, exact_methods = qep._norms(*args)
+        assert norms.tobytes() == exact_norms.tobytes()
+        assert methods.tolist() == exact_methods.tolist()
+        assert "envelope" in methods.tolist()
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, -1.7, 0.2 + 0.5j, -0.9 + 2.0j], ids=str)
+    def test_lower_bounds_below_the_norm(self, c):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 7, 40):
+            xd, ad = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+            bounds = list(qep._Gram(xd, ad).lower_bounds(complex(c)))
+            norm = np.linalg.norm(xd + c * ad, 2)
+            assert len(bounds) == 16
+            assert all(0 < low <= norm for low in bounds)
+            assert bounds[-1] > 0.9 * norm
+
+    def test_lower_bounds_of_a_k_pencil_centre(self):
+        l0, l1 = _k_pencils(100000)
+        xd, ad = l0.x_block - l1.x_block, l0.a_block - l1.a_block
+        c = 0.12 + 0.2j  # near the centre of the bulk's upper cells
+        bounds = list(qep._Gram(xd, ad).lower_bounds(c))
+        assert all(low <= np.linalg.norm(xd + c * ad, 2) for low in bounds)
+
+    def test_top_singular_vector_orthogonal_to_ones(self):
+        # the all-ones start sees 0.01 until rounding feeds the top singular
+        # vector, and then no more than the norm 1.01
+        n = 50
+        v = np.where(np.arange(n) % 2, -1.0, 1.0)
+        m = np.outer(v, v) / n + 0.01 * np.eye(n)
+        bounds = list(qep._Gram(m, np.zeros((n, n))).lower_bounds(0j))
+        assert bounds[0] <= 0.01
+        assert all(low <= np.linalg.norm(m, 2) for low in bounds)
+
+    def test_vanishing_vector_ends_the_steps(self):
+        # the all-ones vector is in the null space: no bound, and no division by zero
+        m = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert list(qep._Gram(m, np.zeros((2, 2))).lower_bounds(0.5 + 1j)) == []
