@@ -7,12 +7,15 @@ L0, and eigenvalue counts inside well-separated unions of such balls are
 preserved.  Only a reference with a symmetric A and X = cI is accepted
 (``QepPair.symmetric_scalar``, as for H0, K0 and the (A, cI) trial pencils):
 its P is orthogonal, so kappa(P) = 1 and eps(mu) = sqrt(||X - Y + mu (A - B)||).
+Each ||E(mu)|| is bounded from above by a Gram eigensolve or, across the bulk,
+by interpolation on a fixed grid over the Gram keys (Re mu, |mu|^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, List, Optional, Tuple
+from itertools import product
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,12 +27,6 @@ __all__ = [
     "spectral_norm",
     "qep_bound",
 ]
-
-# envelope cells per coordinate across the bulk of Spec(L)
-ENVELOPE_CELLS = 3
-# split an envelope cell while its corners' mean norm exceeds its centre's by more
-ENVELOPE_RTOL = 0.1
-
 
 class NotQepDiagonalizableError(ValueError):
     """The reference pencil is not ``symmetric_scalar``, so no orthogonal P co-diagonalizes it."""
@@ -81,14 +78,13 @@ class _Gram:
     """The nonzero terms of E E^H = P + Re(mu) S + |mu|^2 R + i |Im mu| T for real blocks.
 
     P = Xd Xd^T, C = Ad Xd^T, S = C + C^T, T = C - C^T and R = Ad Ad^T.
-    ``axes`` index the coordinates (Re mu, |mu|^2, |Im mu|) that scale them;
-    f >= ||abs(Xd)||_2 and g >= ||abs(Ad)||_2 come from ``_abs_norm_bound``.
-    Xd and Ad themselves are kept for ``lower_bounds``.
+    ``axes`` index the coordinates (Re mu, |mu|^2, |Im mu|) that scale them,
+    and mu's key is its coordinates on ``axes``: the Gram matrix G is affine
+    in the key.  f >= ||abs(Xd)||_2 and g >= ||abs(Ad)||_2 come from ``_abs_norm_bound``.
     """
 
     def __init__(self, x_diff: np.ndarray, a_diff: np.ndarray):
         self.n = max(x_diff.shape)
-        self.x_diff, self.a_diff = x_diff, a_diff
         self.p = x_diff @ x_diff.T
         self.f, self.g = _abs_norm_bound(x_diff), 0.0
         terms = []  # (axis, matrix, unit)
@@ -100,14 +96,26 @@ class _Gram:
         self.axes = [axis for axis, _, _ in self.terms]
         self.top = {}  # key -> lambda_max of the computed Gram matrix
 
+    def keys(self, mus: np.ndarray) -> np.ndarray:
+        """The computed key of each mu, one row per mu; only its |mu|^2 is rounded."""
+        return np.column_stack((mus.real, mus.real ** 2 + mus.imag ** 2, np.abs(mus.imag)))[:, self.axes]
+
+    def _top(self, keys: np.ndarray) -> np.ndarray:
+        """lambda_max of the computed G at each key (row), one eigensolve per key not in ``top``."""
+        keys = list(map(tuple, keys.tolist()))
+        for key in dict.fromkeys(key for key in keys if key not in self.top):
+            gram = self.p
+            for coef, (_, m, unit) in zip(key, self.terms):
+                gram = gram + (coef * unit) * m
+            self.top[key] = np.linalg.eigvalsh(gram)[-1]
+        return np.array([self.top[key] for key in keys], dtype=float)
+
     def exact(self, mus: np.ndarray) -> np.ndarray:
         """Upper bounds on ||E(mu)||_2 for E(mu) = x_diff + mu a_diff, every mu.
 
-        For real blocks E E^H = P + Re(mu) S + |mu|^2 R + i Im(mu) T, so
-        ||E(mu)||^2 = lambda_max(G(mu)).  Only the nonzero terms are formed, and
-        G depends on mu only through (Re mu, |mu|^2, |Im mu|) restricted to them:
-        one solve per distinct key, so a conjugate pair shares one eigensolve,
-        and Ad = 0 needs one in all.  Solves are kept in ``top``.
+        ||E(mu)||^2 = lambda_max(G(mu)), and G depends on mu only through its
+        key: one solve per distinct key, so a conjugate pair shares one
+        eigensolve, and Ad = 0 needs one in all.
 
         Rounding allowance.  Let u be the unit roundoff, gamma_k = k u / (1 - k u),
         n the larger dimension, f >= ||abs(Xd)||_2, g >= ||abs(Ad)||_2 (from
@@ -128,116 +136,66 @@ class _Gram:
         square roots.  Relative to ||E||, the bound is high by about
         (n + 12) u (1 + h^2 / ||E||^2) / 2.
         """
-        keys = [()] * mus.size  # no term depends on mu: one Gram matrix for every mu
-        if self.axes:
-            coords = np.column_stack((mus.real, mus.real ** 2 + mus.imag ** 2, np.abs(mus.imag)))
-            keys = list(map(tuple, coords[:, self.axes]))
-        for key in dict.fromkeys(key for key in keys if key not in self.top):
-            gram = self.p
-            for coef, (_, m, unit) in zip(key, self.terms):
-                gram = gram + (coef * unit) * m
-            self.top[key] = np.linalg.eigvalsh(gram)[-1]
-        lam = np.array([self.top[key] for key in keys], dtype=float)
+        lam = self._top(self.keys(mus) if self.axes else np.empty((mus.size, 0)))  # one G for all mu
         h = self.f + np.sqrt(2.0) * np.abs(mus) * self.g
         return np.sqrt(np.maximum(lam + _gamma(self.n + 12) * (h * h + np.abs(lam)), 0.0))
-
-    def lower_bounds(self, c: complex) -> Iterator[float]:
-        """Rising lower bounds on ||E(c)||_2, one per power step, at most 16.
-
-        From the all-ones vector, each step applies E(c) or E(c)^H in turn,
-        never forming them: a complex vector is held as its real and
-        imaginary columns, E v = Xd v + c (Ad v) is two real products and
-        the multiplication by c a product with a 2 x 2 real matrix.  As
-        ||E^H|| = ||E||, every ratio ||w|| / ||v|| of the vector after a step
-        to the one before it is at most ||E||; in exact arithmetic the ratios
-        rise towards it.  The generator stops early when a vector vanishes.
-
-        Rounding allowance, with u, gamma_k, n, f, g and h = f + sqrt(2) |c| g
-        as in ``exact``.  Each real product of an n x n block with a column
-        is within gamma_n of |block| |column| entrywise, so the two are off by
-        at most gamma_n f ||v|| and gamma_n g ||v|| in norm.  Multiplying by c
-        adds sqrt(2) gamma_2 |c| |(Ad v)_i| per entry, and the sum u per
-        entry.  The differences X0 - X and A0 - A are within u of their own
-        entries, which moves E by u (f + |c| g).  So the computed w is within
-        gamma_(n+4) h ||v|| of E v for the exact E, to first order.  A norm
-        is the square root of a sum of 2n squares, within gamma_(n+2) of
-        itself, and the ratio of two norms within gamma_(2n+5).  So each
-        ratio r gives ||E|| >= r (1 - gamma_(2n+8)) - gamma_(n+8) h; the spare
-        units absorb the second-order terms and the rounding in evaluating
-        the bound.
-        """
-        turn = np.array([[c.real, c.imag], [-c.imag, c.real]])  # [p, q] @ turn: c (p + i q)
-        steps = ((self.x_diff, self.a_diff, turn), (self.x_diff.T, self.a_diff.T, turn.T))
-        keep = 1 - _gamma(2 * self.n + 8)
-        slack = _gamma(self.n + 8) * (self.f + np.sqrt(2.0) * abs(c) * self.g)
-        v = np.zeros((self.n, 2))
-        v[:, 0] = 1.0
-        size = np.sqrt(v.ravel() @ v.ravel())
-        for step in range(16):
-            x, a, rot = steps[step % 2]
-            w = x @ v + (a @ v) @ rot
-            w_size = np.sqrt(w.ravel() @ w.ravel())
-            if not w_size:
-                return
-            yield w_size / size * keep - slack
-            v = w / w_size
-            size = np.sqrt(v.ravel() @ v.ravel())
 
     def envelope(self, mus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Upper bounds on ||E(mu)||_2 for every mu, and the method of each.
 
-        ||E(mu)||_2 is convex in mu, as the norm of an affine function of mu,
-        and the same at mu and its conjugate, as the blocks are real.
-        ``_grid`` puts each point (Re mu, |Im mu|) in a cell [x0, x1) x [y0, y1),
-        where it is a convex combination, with bilinear weights, of the four
-        corners x + i y.  A cell of more than two conjugate classes is split
-        in four at its centre while the mean of its corners' norms exceeds
-        the centre's by more than ``ENVELOPE_RTOL``, as around the minimum of
-        ||E||, where it curves most.  The centre is first tried with
-        ``lower_bounds``: once (1 + ``ENVELOPE_RTOL``) times one of them
-        reaches the mean, the cell stays whole with no eigensolve, since
-        ``exact`` at the centre is at least that bound and would keep it
-        whole too.  Only a centre left unsettled is bounded by ``exact``.
-        Then each mu of a cell gets the bilinear combination of the corners'
-        norms ("envelope").  Corners are shared between cells, each bounded
-        by ``exact``, and every other mu gets its class solve ("gram").
+        G is affine in the key, so lambda_max(G) = ||E||^2 is convex in it
+        (Overton 1988; Lewis and Overton 1996), also at keys of no mu.
+        ``_key_grid`` puts a box over the keys, with 3 equal cells along Re mu
+        and 1 along each other coordinate.  A mu whose key lies in the box
+        gets the root of the multilinear combination of its cell's corner
+        bounds N on ||E||^2 ("envelope"): the weights are at least 0, sum to 1
+        and reproduce the key, so by Jensen it is an upper bound.  Every other
+        mu gets its ``exact`` solve ("gram"), and so does every mu if the box
+        holds no more keys than the grid has corners, or if the band check
+        fails: B, the sum over the coordinates other than Re mu of the box's
+        extent times ``_abs_norm_bound`` of the term, bounds what the box's
+        thickness adds to ||E||^2, and may not exceed min N.  It holds when
+        the mu lie in a thin band of |mu|^2, as K's bulk does, not in a plane.
 
-        Rounding: Re mu and |Im mu| are exact and lie in their cell, as the
-        split compares them with the centre, and the corners are exact.  Each
-        computed weight lies in [0, 1] within gamma_9 of the exact one, and
-        the sum of the four products is within gamma_4 of itself, so with N_k
-        the corner bounds, adding gamma_48 max_k N_k covers the exact
-        combination and this addition.
+        Rounding, with u, gamma_k, n, f and g as in ``exact``.  G may be
+        indefinite at a corner key (x, r, y), where r < x^2 + y^2 is allowed;
+        with rho^2 = r + x^2 + y^2 and h = f + sqrt(2) rho g, ||G|| <= h^2
+        and ``exact``'s F <= gamma_(n+10) h^2, so N = lambda^ + gamma_(2n+12) h^2
+        covers lambda^ + F + n u (h^2 + F).  At a mu, only |mu|^2 is rounded,
+        by gamma_2 r, which moves G by gamma_2 r g^2, and a computed S or T
+        that is exactly 0 leaves out 2 gamma_(n+2) f g times |Re mu| or
+        |Im mu| at most: gamma_(n+4) h^2 covers both, with ``exact``'s h.  As
+        ``_key_grid`` puts each computed key in its cell [a, b], each
+        t^ = (v - a) / (b - a) lies in [0, 1] within gamma_3 of t, and 1 - t^
+        within gamma_4 of 1 - t.  So each of the 2^d weights, a product of d
+        such factors, is within gamma_(5d), and their sum of products within
+        gamma_(2^d), which gamma_(2^d (5d + 1) + 8) max |N| covers; the spare
+        units absorb the square roots.
         """
-        norms = np.empty(mus.size)
-        crowded = np.zeros(mus.size, dtype=bool)
-        if self.terms:
-            x, y = mus.real, np.abs(mus.imag)
-            edges = np.column_stack(_grid(x) + _grid(y))  # x0, x1, y0, y1 of each mu's cell
-            _, first, cell = np.unique(edges, axis=0, return_index=True, return_inverse=True)
-            cells = [(*edges[i], np.flatnonzero(cell.ravel() == c)) for c, i in enumerate(first)]
-            while cells:
-                x0, x1, y0, y1, m = cells.pop()
-                if len(set(zip(x[m], y[m]))) <= 2:
-                    continue
-                corner = self.exact(np.array([x0, x0, x1, x1]) + 1j * np.array([y0, y1, y0, y1]))
-                # a side with no float strictly between its ends is not split
-                xm = (x0 + x1) / 2 if x0 < (x0 + x1) / 2 < x1 else x0
-                ym = (y0 + y1) / 2 if y0 < (y0 + y1) / 2 < y1 else y0
-                mean, centre = corner.mean(), xm + 1j * ym
-                if (xm, ym) != (x0, y0) and \
-                        not any((1 + ENVELOPE_RTOL) * low >= mean for low in self.lower_bounds(centre)) and \
-                        mean > (1 + ENVELOPE_RTOL) * self.exact(np.array([centre]))[0]:
-                    right, upper = x[m] >= xm, y[m] >= ym
-                    cells += [((x0, xm)[r], (xm, x1)[r], (y0, ym)[u], (ym, y1)[u],
-                               m[(right == r) & (upper == u)]) for r in (0, 1) for u in (0, 1)]
-                    continue
-                wx, wy = (x[m] - x0) / (x1 - x0), (y[m] - y0) / (y1 - y0)
-                weight = [(1 - wx) * (1 - wy), (1 - wx) * wy, wx * (1 - wy), wx * wy]
-                # elementwise, so equal (Re mu, |Im mu|) get equal bounds wherever they
-                # sit in mus: a matrix product's rounding depends on the position
-                norms[m] = sum(c * w for c, w in zip(corner, weight)) + _gamma(48) * corner.max()
-                crowded[m] = True
+        norms, crowded = np.empty(mus.size), np.zeros(mus.size, dtype=bool)
+        if self.axes and mus.size:
+            keys = self.keys(mus)
+            edges, inside, cell = _key_grid(keys, [3 if axis == 0 else 1 for axis in self.axes])
+            corners = np.stack(np.meshgrid(*edges, indexing="ij"), axis=-1)
+            if len(set(map(tuple, keys[inside].tolist()))) > corners[..., 0].size:
+                rho2 = sum(c if a == 1 else c * c for a, c in zip(self.axes, np.moveaxis(corners, -1, 0)))
+                h = self.f + np.sqrt(2.0 * rho2) * self.g
+                bound = self._top(corners.reshape(-1, len(edges))).reshape(h.shape)
+                bound = bound + _gamma(2 * self.n + 12) * (h * h)
+                band = sum((e[-1] - e[0]) * _abs_norm_bound(m)
+                           for e, (axis, m, _) in zip(edges, self.terms) if axis)
+                crowded = inside if band <= bound.min() else crowded
+        if crowded.any():
+            # elementwise, so equal keys get equal bounds wherever they sit in mus
+            t = [np.divide(v - e[i], e[i + 1] - e[i], out=np.zeros(v.size), where=e[i + 1] > e[i])
+                 for v, e, i in zip(keys[crowded].T, edges, cell.T)]
+            total = np.zeros(len(cell))
+            for bits in product((0, 1), repeat=len(t)):
+                weight = np.prod([t_j if bit else 1 - t_j for t_j, bit in zip(t, bits)], axis=0)
+                total = total + weight * bound[tuple(cell.T + np.array(bits)[:, None])]
+            d, h = bound.ndim, self.f + np.sqrt(2.0) * np.abs(mus[crowded]) * self.g
+            total += _gamma(2 ** d * (5 * d + 1) + 8) * np.abs(bound).max() + _gamma(self.n + 4) * (h * h)
+            norms[crowded] = np.sqrt(np.maximum(total, 0.0))
         norms[~crowded] = self.exact(mus[~crowded])
         return norms, np.where(crowded, "envelope", "gram")
 
@@ -248,25 +206,22 @@ def _gamma(k: int) -> float:
     return k * u / (1 - k * u)
 
 
-def _grid(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The lower and upper edge of each value's cell on a grid of one coordinate.
+def _key_grid(keys: np.ndarray, cells: List[int]) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+    """A box over the keys (rows), cut in ``cells[j]`` equal cells along coordinate j.
 
-    ``ENVELOPE_CELLS`` cells of equal width span v without its two smallest
-    and two largest values, and cells of the same width extend the grid past
-    them, so an isolated mu (1 and beta/alpha for K) sits in a cell of its
-    own.  The width is at least 16 units in the last place of max |v|, so the
-    computed edges increase with the cell index k and the division misplaces
-    a value by at most one cell; the comparisons put it in [edge k, edge k+1).
+    The box drops each coordinate's two smallest and two largest values.  Returns its edges,
+    which keys lie in it, and their cells.  The edges do not fall and end at the box's ends,
+    and a cell comes from comparisons with them: edge k <= key <= edge k+1 on each coordinate.
     """
-    ranked = np.sort(v)  # np.quantile imports numpy.ma: 1.6 MB more RSS
-    k = min(2, (v.size - 1) // 2)
-    lo = ranked[k]
-    width = ((ranked[-1 - k] - lo) or (ranked[-1] - ranked[0]) or 1.0) / ENVELOPE_CELLS
-    width = max(width, 16 * np.spacing(max(-ranked[0], ranked[-1])))
-    cell = np.floor((v - lo) / width)
-    cell -= v < lo + cell * width
-    cell += v >= lo + (cell + 1) * width
-    return lo + cell * width, lo + (cell + 1) * width
+    ranked = np.sort(keys, axis=0)
+    k = min(2, (len(keys) - 1) // 2)
+    lo, hi = ranked[k], ranked[-1 - k]
+    edges = [np.append(np.minimum(a + (b - a) / c * np.arange(c), b), b)
+             for a, b, c in zip(lo, hi, cells)]
+    inside = np.all((lo <= keys) & (keys <= hi), axis=1)
+    cell = [np.minimum(np.searchsorted(e, v, side="right"), c) - 1
+            for e, v, c in zip(edges, keys[inside].T, cells)]
+    return edges, inside, np.column_stack(cell)
 
 
 def _norms(x_diff: np.ndarray, a_diff: np.ndarray, mus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -275,8 +230,10 @@ def _norms(x_diff: np.ndarray, a_diff: np.ndarray, mus: np.ndarray) -> Tuple[np.
     "diagonal" when a_diff = 0 and x_diff is diagonal: the exact norm is
     max |x_ii|, and gamma_4 relative covers the rounding of the differences
     and of the square roots taken from it.  Otherwise ``_Gram.envelope``
-    gives "envelope" or "gram" per mu.
+    gives "envelope" or "gram" per mu.  Non-finite input raises ``ValueError``.
     """
+    if not all(np.isfinite(v).all() for v in (x_diff, a_diff, mus)):
+        raise ValueError("matrix has non-finite entries")
     diag = np.diagonal(x_diff)
     if not a_diff.any() and np.count_nonzero(x_diff) == np.count_nonzero(diag):
         norm = float(np.abs(diag).max(initial=0.0)) * (1 + _gamma(4))
@@ -285,7 +242,10 @@ def _norms(x_diff: np.ndarray, a_diff: np.ndarray, mus: np.ndarray) -> Tuple[np.
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """An upper bound on ||m||_2 of a real matrix: exact for a diagonal m, else ``_Gram.exact``."""
+    """An upper bound on ||m||_2 of a real matrix: exact for a diagonal m, else ``_Gram.exact``.
+
+    Raises ``ValueError`` when m has a non-finite entry.
+    """
     m = np.asarray(m, dtype=float)
     return float(_norms(m, np.zeros_like(m), np.zeros(1, dtype=complex))[0][0])
 
@@ -310,15 +270,15 @@ def qep_bound(
     from the blocks and recorded per row in ``norm_methods``:
       - "diagonal": A0 = A and X0 - X diagonal, as for (H0, H).  The norm
         is max |(X0 - X)_ii| for every mu, in O(n).
-      - "envelope": every mu in a cell of a grid over (Re mu, |Im mu|) that
-        holds more than two conjugate classes is bounded by interpolating
-        the norms at the cell's corners, after splitting cells whose centre
-        lies well below that interpolation (``_Gram.envelope``).
+      - "envelope": every mu in a box over the bulk's keys (Re mu, |mu|^2,
+        |Im mu|) is bounded by interpolating on a fixed grid of that box
+        (``_Gram.envelope``), unless the bulk is no thin band of |mu|^2.
       - "gram": every other mu, from ``_Gram.exact``: one eigensolve
         per conjugate class, one in all when A0 = A.  Among them are 1 and
-        beta/alpha of a K pencil, which sit in cells of their own.
+        beta/alpha of a K pencil, which lie outside the box.
     "diagonal" and "gram" are exact up to a rounding allowance of about
-    n u relative; "envelope" is looser, by a few percent in tested pencils.
+    n u relative; "envelope" is looser, by up to 2 % in tested K pencils.
+    A non-finite block or mu in ``spec`` raises ``ValueError``.
     """
     if not l0.symmetric_scalar:
         raise NotQepDiagonalizableError("the reference pencil needs a symmetric A and X = cI")

@@ -2,9 +2,11 @@ import collections
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nbspec.analysis import check_qep_trials
 from nbspec.eig import eigs_general
@@ -66,6 +68,12 @@ class TestSpectralNorm:
         norm = spectral_norm(np.outer(v, v) / n + 0.01 * np.eye(n))
         assert norm >= 1.01
         assert norm == pytest.approx(1.01, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [[[1.0, math.inf], [0.0, 1.0]], [[math.nan]]], ids=["inf", "nan"])
+    def test_non_finite_entries_raise(self, m):
+        # no finite number bounds the norm; NaN is no upper bound
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm(np.array(m))
 
 
 class TestQepBound:
@@ -163,6 +171,13 @@ class TestQepBound:
         assert [f.name for f in dataclasses.fields(QepBoundReport)] == ["per_mu", "norm_methods"]
         assert QepBoundReport(per_mu=[], norm_methods=()).epsilon_global == 0.0
 
+    def test_non_finite_spectrum_raises(self):
+        l0, l1 = _k_pencils(3)
+        spec = l1.spectrum().copy()
+        spec[5] = complex(math.nan, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            qep_bound(l0, l1, spec=spec)
+
     def test_report_json_round_trip(self):
         rng = np.random.default_rng(7)
         l0, l1, _ = random_instance(rng, n=4)
@@ -224,11 +239,17 @@ class TestReportJson:
 
 
 def _lapack_radii(l0, l1, report):
-    """The radii of ``report`` recomputed with LAPACK's 2-norm of each E(mu)."""
+    """The radii of ``report`` recomputed with LAPACK's 2-norm of each E(mu), once per
+    conjugate pair: E(conj mu) = conj E(mu) for real blocks."""
     xd = l0.x_block - l1.x_block
     ad = l0.a_block - l1.a_block
     if ad.any():
-        norms = [np.linalg.norm(xd + mu * ad, 2) for mu, _, _, _ in report.per_mu]
+        norm = {}
+        for mu, _, _, _ in report.per_mu:
+            key = complex(mu.real, abs(mu.imag))
+            if key not in norm:
+                norm[key] = np.linalg.norm(xd + key * ad, 2)
+        norms = [norm[complex(mu.real, abs(mu.imag))] for mu, _, _, _ in report.per_mu]
     else:  # E does not depend on mu
         norms = [np.linalg.norm(xd, 2)] * len(report.per_mu)
     return np.sqrt(norms)
@@ -279,6 +300,16 @@ def _complex_gram_pencils(n=60):
     return _random_pencils(np.random.default_rng(5), n)
 
 
+def _row_scaled_pencils(n=60):
+    """(A, -cI) against (A - D A, -cI + D) for a random symmetric A and diagonal D:
+    E(mu) = -D (I - mu A), as for K, but the mu fill the plane rather than a ring."""
+    rng = np.random.default_rng(22)
+    a = _symmetric_uniform(rng, n)
+    x = -rng.uniform(0.5, 2.0) * np.eye(n)
+    d = np.diag(rng.uniform(-0.1, 0.1, n))
+    return QepPair(a, x), QepPair(a - d @ a, x + d)
+
+
 def _shifted_a_pencils(n=50):
     """(I, -0.6 I) against (1.1 I, -diag(d)): the complex mu share Re mu = 0.55 up to
     rounding, and four real mu (two d_i = -1) lie far from it."""
@@ -294,7 +325,7 @@ def _h_pencils(seed=1):
 
 
 # how far above the theorem's radius an "envelope" radius may lie
-ENVELOPE_FACTOR = 1.1
+ENVELOPE_FACTOR = 1.03
 
 
 class TestRadiiSoundness:
@@ -317,7 +348,7 @@ class TestRadiiSoundness:
             methods = collections.Counter(report.norm_methods)
             assert set(methods) == {"gram", "envelope"}
             assert methods["envelope"] > methods["gram"]
-            # epsilon_global is attained at mu = 1, alone in its cell
+            # epsilon_global is attained at mu = 1, outside the box
             top = int(np.argmax([eps for _, eps, _, _ in report.per_mu]))
             assert report.norm_methods[top] == "gram"
 
@@ -374,7 +405,22 @@ class TestRadiiSoundness:
         l0, l1 = _complex_gram_pencils()
         c = (l0.a_block - l1.a_block) @ (l0.x_block - l1.x_block).T
         assert (c - c.T).any()  # T != 0
-        self._assert_envelope_covers(l0, l1)
+        # the band check sends every mu to its exact solve
+        assert set(self._assert_sound_and_tight(l0, l1).norm_methods) == {"gram"}
+
+    def test_row_scaled_pencil_filling_the_plane(self):
+        # the structure of a K pencil, but no thin band of |mu|^2: the band check fails
+        report = self._assert_sound_and_tight(*_row_scaled_pencils())
+        assert set(report.norm_methods) == {"gram"}
+
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(half=st.integers(20, 80), p=st.floats(0.2, 0.4), ratio=st.floats(0.1, 0.6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_drawn_k_pencils(self, half, p, ratio, seed):
+        params = SbmParams(n=2 * half, p=p, q=ratio * p, seed=seed)
+        g = sample_sbm(params)
+        assume(g.degrees.min() >= 2)
+        self._assert_sound_and_tight(build_K0(g, expected_stats(params)), build_K(g))
 
     def test_pencil_with_one_real_part_in_the_bulk(self):
         # the grid's width must not come from the rounding noise of Re mu
@@ -383,14 +429,35 @@ class TestRadiiSoundness:
         assert 0 < np.ptp(mus[mus.imag != 0].real) < 1e-14
         self._assert_envelope_covers(l0, l1)
 
-    def test_grid_brackets_every_value(self):
-        # the last list puts a value where floor((v - lo) / width) is one cell off
-        for v in ([1.0, 1.0 + 2.0 ** -52], [0.0, 5e-324], [3.0, 3.0, 3.0], [-2.0, 1e300],
-                  [0.025019093320933397, 0.07944276019391511, 0.055137138049038706,
-                   -0.05495856200188163, -0.039966743017754915, 0.07471068907925238,
-                   -0.09894693908688507]):
-            lower, upper = qep._grid(np.array(v))
-            assert np.all(lower <= v) and np.all(np.array(v) < upper)
+    def test_every_interpolated_key_lies_in_its_cell(self):
+        # the computed key lies in its cell, and the exact |mu|^2 within gamma_2 |mu|^2 of it
+        l0, l1 = _k_pencils(100000)
+        mus = np.asarray(l1.spectrum(), dtype=complex)
+        gram = qep._Gram(l0.x_block - l1.x_block, l0.a_block - l1.a_block)
+        keys = gram.keys(mus)
+        edges, inside, cell = qep._key_grid(keys, [3, 1])
+        _, methods = gram.envelope(mus)
+        assert (methods == "envelope").tolist() == inside.tolist()
+        for e, i, v in zip(edges, cell.T, keys[inside].T):
+            assert np.all(e[i] <= v) and np.all(v <= e[i + 1])
+        on_edge = 0
+        for mu, (_, r) in zip(mus[inside], keys[inside]):
+            exact = Fraction(mu.real) ** 2 + Fraction(mu.imag) ** 2
+            assert abs(exact - Fraction(r)) <= Fraction(qep._gamma(2)) * exact
+            on_edge += r in edges[1] and exact != r
+        assert on_edge  # a |mu|^2 that rounds onto an edge of the band
+
+    @pytest.mark.parametrize("v", [
+        [1.0, 1.0 + 2.0 ** -52], [0.0, 5e-324], [3.0, 3.0, 3.0], [-2.0, 1e300],
+        [0.025019093320933397, 0.07944276019391511, 0.055137138049038706, -0.05495856200188163,
+         -0.039966743017754915, 0.07471068907925238, -0.09894693908688507],
+    ], ids=["ulp", "subnormal", "equal", "wide", "seven"])
+    def test_key_grid_brackets_awkward_values(self, v):
+        v = np.array(v)
+        edges, inside, cell = qep._key_grid(v[:, None], [3])
+        assert np.all(np.diff(edges[0]) >= 0) and inside.any()
+        e, i = edges[0], cell[:, 0]
+        assert np.all(e[i] <= v[inside]) and np.all(v[inside] <= e[i + 1])
 
     def test_conjugates_share_a_radius(self):
         rng = np.random.default_rng(12)
@@ -475,9 +542,9 @@ class TestPerturbationNorms:
         assert solves == 1
 
     def test_k_pencil_takes_few_solves(self, monkeypatch):
-        # one per corner and isolated mu, where the Gram expansion alone
-        # needs one per conjugate class: power steps settle every centre
-        # (the certify-K op of --seed 100000; 25 solves before the centre rule)
+        # 8 corners, and one for each of the 5 conjugate classes outside the
+        # box, where the Gram expansion alone needs one per conjugate class
+        # (the certify-K op of --seed 100000)
         l0, l1 = _k_pencils(100000)
         spec0, spec = l0.spectrum(), l1.spectrum()
         calls = []
@@ -485,10 +552,10 @@ class TestPerturbationNorms:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or solve(m))
         qep_bound(l0, l1, spec0=spec0, spec=spec)
         classes = len({(mu.real, abs(mu.imag)) for mu in spec})
-        assert len(calls) == 20 < classes / 3
+        assert len(calls) == 13 < classes / 7
 
     def test_pencil_off_the_k_structure_takes_few_solves(self, monkeypatch):
-        # grid vertices are shared between cells whatever the pencil
+        # the grid's corners serve every mu in the box whatever the pencil
         l0, l1 = _real_gram_pencils()
         spec0, spec = l0.spectrum(), l1.spectrum()
         calls = []
@@ -513,60 +580,3 @@ class TestPerturbationNorms:
         exact = np.array([np.linalg.norm(xd + mu * ad, 2) for mu in mus])
         assert np.all(norms >= exact)
         assert np.all(norms <= exact * (1 + 1e-12))
-
-
-def _unsettled(self, c):
-    """A lower bound that never settles a centre: every centre takes its exact solve."""
-    return iter(())
-
-
-class TestCentreRule:
-    """A centre settled by ``_Gram.lower_bounds`` changes no value."""
-
-    @pytest.mark.parametrize("pencils", [
-        lambda: _k_pencils(3), lambda: _k_pencils(18), lambda: _k_pencils(300007),
-        lambda: _k_pencils(100000), _real_gram_pencils, _complex_gram_pencils,
-        lambda: _random_pencils(np.random.default_rng(20), 60),
-    ], ids=["k-3", "k-18", "k-300007", "k-100000", "real-gram", "complex-gram", "random-n60"])
-    def test_norms_as_without_the_rule(self, monkeypatch, pencils):
-        l0, l1 = pencils()
-        args = (l0.x_block - l1.x_block, l0.a_block - l1.a_block, np.asarray(l1.spectrum(), dtype=complex))
-        norms, methods = qep._norms(*args)
-        monkeypatch.setattr(qep._Gram, "lower_bounds", _unsettled)
-        exact_norms, exact_methods = qep._norms(*args)
-        assert norms.tobytes() == exact_norms.tobytes()
-        assert methods.tolist() == exact_methods.tolist()
-        assert "envelope" in methods.tolist()
-
-    @pytest.mark.parametrize("c", [0.0, 0.3, -1.7, 0.2 + 0.5j, -0.9 + 2.0j], ids=str)
-    def test_lower_bounds_below_the_norm(self, c):
-        rng = np.random.default_rng(21)
-        for n in (1, 2, 7, 40):
-            xd, ad = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-            bounds = list(qep._Gram(xd, ad).lower_bounds(complex(c)))
-            norm = np.linalg.norm(xd + c * ad, 2)
-            assert len(bounds) == 16
-            assert all(0 < low <= norm for low in bounds)
-            assert bounds[-1] > 0.9 * norm
-
-    def test_lower_bounds_of_a_k_pencil_centre(self):
-        l0, l1 = _k_pencils(100000)
-        xd, ad = l0.x_block - l1.x_block, l0.a_block - l1.a_block
-        c = 0.12 + 0.2j  # near the centre of the bulk's upper cells
-        bounds = list(qep._Gram(xd, ad).lower_bounds(c))
-        assert all(low <= np.linalg.norm(xd + c * ad, 2) for low in bounds)
-
-    def test_top_singular_vector_orthogonal_to_ones(self):
-        # the all-ones start sees 0.01 until rounding feeds the top singular
-        # vector, and then no more than the norm 1.01
-        n = 50
-        v = np.where(np.arange(n) % 2, -1.0, 1.0)
-        m = np.outer(v, v) / n + 0.01 * np.eye(n)
-        bounds = list(qep._Gram(m, np.zeros((n, n))).lower_bounds(0j))
-        assert bounds[0] <= 0.01
-        assert all(low <= np.linalg.norm(m, 2) for low in bounds)
-
-    def test_vanishing_vector_ends_the_steps(self):
-        # the all-ones vector is in the null space: no bound, and no division by zero
-        m = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert list(qep._Gram(m, np.zeros((2, 2))).lower_bounds(0.5 + 1j)) == []
