@@ -23,6 +23,7 @@ __all__ = [
     "ClassificationReport",
     "CommunityResult",
     "classify_spectrum",
+    "check_classifiable",
     "ihara_bass_check",
     "check_ihara_bass",
     "check_det_identity",
@@ -105,6 +106,14 @@ def _quantile(ranked: np.ndarray, q: float) -> float:
     return float(hi - step * (1 - frac) if frac >= 0.5 else lo + step * frac)
 
 
+def check_classifiable(stats: DegreeStats) -> None:
+    """Raise ``InvalidParameters`` unless alpha > 1 and beta is None or positive."""
+    if stats.gamma <= 0:
+        raise InvalidParameters("classification requires alpha > 1")
+    if stats.beta is not None and stats.beta <= 0:
+        raise InvalidParameters(f"classification requires beta > 0, got beta = {stats.beta}")
+
+
 def classify_spectrum(
     spec: np.ndarray,
     stats: DegreeStats,
@@ -120,11 +129,8 @@ def classify_spectrum(
     {1, alpha/beta}; everything else is bulk.  Needs alpha > 1 and a beta
     that is None or positive.
     """
+    check_classifiable(stats)
     alpha, beta, gamma = stats.alpha, stats.beta, stats.gamma
-    if gamma <= 0:
-        raise InvalidParameters("classification requires alpha > 1")
-    if beta is not None and beta <= 0:
-        raise InvalidParameters(f"classification requires beta > 0, got beta = {beta}")
     root_g = math.sqrt(gamma)
     imag_tol = 1e-8 * math.sqrt(alpha)
 

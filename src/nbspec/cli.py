@@ -207,10 +207,12 @@ def cmd_classify(args) -> int:
         graph, stats, params = resolve_graph(local)
         if args.estimate:
             stats = analysis.estimate_stats(graph)
+        analysis.check_classifiable(stats)
+        out = _outdir(args)
         spec = operators.build_H(graph).spectrum()
         report = analysis.classify_spectrum(spec, stats, tau=args.tau)
         if args.svg:
-            with open(_outdir(args) / f"spectrum_seed{seed}.svg", "w") as fh:
+            with open(out / f"spectrum_seed{seed}.svg", "w") as fh:
                 analysis.write_spectrum_svg(spec, math.sqrt(stats.gamma), fh)
         return {
             "config": _config_dict(local, params),
@@ -229,11 +231,14 @@ def cmd_classify(args) -> int:
 
 def cmd_bound(args) -> int:
     graph, stats, params = resolve_graph(args)
-    if args.pair == "H":
-        report = qep.qep_bound(operators.build_H0(graph, stats), operators.build_H(graph))
-    else:
-        report = qep.qep_bound(operators.build_K0(graph, stats), operators.build_K(graph))
+    if stats.gamma <= 0:  # build_H0's check, made before the solve that precedes it
+        raise InvalidParameters(f"requires alpha > 1, got alpha = {stats.alpha}")
+    build, build0 = {"H": (operators.build_H, operators.build_H0),
+                     "K": (operators.build_K, operators.build_K0)}[args.pair]
+    l = build(graph)
     out = _outdir(args)
+    spec = l.spectrum()  # before L0 exists, so L0's blocks stay out of this dense solve's peak
+    report = qep.qep_bound(build0(graph, stats), l, spec=spec)
     text = report.to_json()
     (out / f"bound_{args.pair}.json").write_text(text + "\n")
     summary = {

@@ -91,8 +91,11 @@ class _Gram:
         if a_diff.any():
             self.g = _abs_norm_bound(a_diff)
             c = a_diff @ x_diff.T
-            terms = [(0, c + c.T, 1.0), (1, a_diff @ a_diff.T, 1.0), (2, c - c.T, 1j)]
-        self.terms = [term for term in terms if term[1].any()]
+            # T = 0 exactly when C is exactly symmetric, as for K; C goes before R is formed
+            s, t = c + c.T, None if np.array_equal(c, c.T) else c - c.T
+            del c
+            terms = [(0, s, 1.0), (1, a_diff @ a_diff.T, 1.0), (2, t, 1j)]
+        self.terms = [term for term in terms if term[1] is not None and term[1].any()]
         self.axes = [axis for axis, _, _ in self.terms]
         self.top = {}  # key -> lambda_max of the computed Gram matrix
 
@@ -103,10 +106,13 @@ class _Gram:
     def _top(self, keys: np.ndarray) -> np.ndarray:
         """lambda_max of the computed G at each key (row), one eigensolve per key not in ``top``."""
         keys = list(map(tuple, keys.tolist()))
-        for key in dict.fromkeys(key for key in keys if key not in self.top):
+        new = [key for key in dict.fromkeys(keys) if key not in self.top]
+        if new and self.terms:  # G = (P + x S) + r R (+ y T), summed in one buffer
+            buf = np.empty(self.p.shape, complex if 2 in self.axes else float)
+        for key in new:
             gram = self.p
             for coef, (_, m, unit) in zip(key, self.terms):
-                gram = gram + (coef * unit) * m
+                gram = np.add(gram, (coef * unit) * m, out=buf)
             self.top[key] = np.linalg.eigvalsh(gram)[-1]
         return np.array([self.top[key] for key in keys], dtype=float)
 
@@ -156,6 +162,10 @@ class _Gram:
         extent times ``_abs_norm_bound`` of the term, bounds what the box's
         thickness adds to ||E||^2, and may not exceed min N.  It holds when
         the mu lie in a thin band of |mu|^2, as K's bulk does, not in a plane.
+        The corners are solved only if B <= min U, where U >= N at a corner
+        is ``_abs_norm_bound`` of P plus |coordinate| times that of each
+        term, raised by gamma_(2n+12) for the sums and the eigensolve's
+        error, plus N's allowance: so a check that must fail costs no solve.
 
         Rounding, with u, gamma_k, n, f and g as in ``exact``.  G may be
         indefinite at a corner key (x, r, y), where r < x^2 + y^2 is allowed;
@@ -180,11 +190,15 @@ class _Gram:
             if len(set(map(tuple, keys[inside].tolist()))) > corners[..., 0].size:
                 rho2 = sum(c if a == 1 else c * c for a, c in zip(self.axes, np.moveaxis(corners, -1, 0)))
                 h = self.f + np.sqrt(2.0 * rho2) * self.g
-                bound = self._top(corners.reshape(-1, len(edges))).reshape(h.shape)
-                bound = bound + _gamma(2 * self.n + 12) * (h * h)
-                band = sum((e[-1] - e[0]) * _abs_norm_bound(m)
-                           for e, (axis, m, _) in zip(edges, self.terms) if axis)
-                crowded = inside if band <= bound.min() else crowded
+                allowance = _gamma(2 * self.n + 12) * (h * h)
+                sizes = [_abs_norm_bound(m) for _, m, _ in self.terms]
+                band = sum((e[-1] - e[0]) * size for e, axis, size in zip(edges, self.axes, sizes) if axis)
+                flat = corners.reshape(-1, len(edges))
+                upper = ((_abs_norm_bound(self.p) + np.abs(flat) @ sizes) * (1 + _gamma(2 * self.n + 12))
+                         + allowance.ravel())
+                if band <= upper.min():
+                    bound = self._top(flat).reshape(h.shape) + allowance
+                    crowded = inside if band <= bound.min() else crowded
         if crowded.any():
             # elementwise, so equal keys get equal bounds wherever they sit in mus
             t = [np.divide(v - e[i], e[i + 1] - e[i], out=np.zeros(v.size), where=e[i + 1] > e[i])
@@ -231,14 +245,24 @@ def _norms(x_diff: np.ndarray, a_diff: np.ndarray, mus: np.ndarray) -> Tuple[np.
     max |x_ii|, and gamma_4 relative covers the rounding of the differences
     and of the square roots taken from it.  Otherwise ``_Gram.envelope``
     gives "envelope" or "gram" per mu.  Non-finite input raises ``ValueError``.
+    The differences are dropped once the Gram terms exist; on CPython 3.11
+    and later, which hand a call's arguments to the callee, that frees the
+    temporaries ``qep_bound`` passes before the first Gram eigensolve.
     """
-    if not all(np.isfinite(v).all() for v in (x_diff, a_diff, mus)):
-        raise ValueError("matrix has non-finite entries")
+    _check_finite(x_diff, a_diff, mus)
     diag = np.diagonal(x_diff)
     if not a_diff.any() and np.count_nonzero(x_diff) == np.count_nonzero(diag):
         norm = float(np.abs(diag).max(initial=0.0)) * (1 + _gamma(4))
         return np.full(mus.size, norm), np.full(mus.size, "diagonal")
-    return _Gram(x_diff, a_diff).envelope(mus)
+    gram = _Gram(x_diff, a_diff)
+    del x_diff, a_diff, diag  # the terms replace them; the solves need n x n room
+    return gram.envelope(mus)
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry of every array is finite."""
+    if not all(np.isfinite(v).all() for v in arrays):
+        raise ValueError("matrix has non-finite entries")
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -278,7 +302,7 @@ def qep_bound(
         beta/alpha of a K pencil, which lie outside the box.
     "diagonal" and "gram" are exact up to a rounding allowance of about
     n u relative; "envelope" is looser, by up to 2 % in tested K pencils.
-    A non-finite block or mu in ``spec`` raises ``ValueError``.
+    A non-finite block, mu in ``spec`` or nu in ``spec0`` raises ``ValueError``.
     """
     if not l0.symmetric_scalar:
         raise NotQepDiagonalizableError("the reference pencil needs a symmetric A and X = cI")
@@ -286,9 +310,9 @@ def qep_bound(
         spec0 = l0.spectrum()
     if spec is None:
         spec = l.spectrum()
-    mus = np.asarray(spec, dtype=complex)
+    mus, nus = np.asarray(spec, dtype=complex), np.asarray(spec0, dtype=complex)
+    _check_finite(nus)
     norms, methods = _norms(l0.x_block - l.x_block, l0.a_block - l.a_block, mus)
-    nus = np.asarray(spec0, dtype=complex)
     nearest, dists = _nearest(mus, nus)
     per_mu = list(zip(mus.tolist(), np.sqrt(norms).tolist(), nus[nearest].tolist(), dists.tolist()))
     return QepBoundReport(per_mu=per_mu, norm_methods=tuple(methods.tolist()))

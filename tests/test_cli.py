@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,10 @@ class TestBadInput:
         assert err.startswith(expected) and err.count("\n") == 1
 
 
+def _no_eigensolve(m):
+    raise RuntimeError("no eigensolve may run here")
+
+
 class TestExitCodes:
     """2 only for bad input; a fault of nbspec itself exits 4 with one line."""
 
@@ -381,6 +386,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "alpha > 1" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("pair", ["H", "K"])
+    def test_alpha_at_most_one_is_bad_input_before_any_eigensolve(self, tmp_path, capsys,
+                                                                 monkeypatch, pair):
+        # alpha = 20 (0.02 + 0.01) - 0.02 = 0.58; L is no symmetric_scalar pencil,
+        # so its spectrum would need eigs_general
+        monkeypatch.setattr(operators, "eigs_general", _no_eigensolve)
+        code = main(["bound", "--pair", pair, "--n", "40", "--p", "0.02", "--q", "0.01",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "alpha > 1" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["bound", "--pair", "H"], ["bound", "--pair", "K"],
+    ], ids=["classify", "bound-H", "bound-K"])
+    def test_unwritable_out_is_bad_input_before_any_eigensolve(self, tmp_path, capsys,
+                                                              monkeypatch, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(operators, "eigs_general", _no_eigensolve)
+        code = main([*argv, "--n", "40", "--p", "0.5", "--q", "0.2", "--out", str(blocker / "sub")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot create --out {blocker / 'sub'}: ")
 
     # beta = n(p - q)/2 - p is 0 at q = 0.3 and -0.4 at q = 0.5: no insider target alpha/beta
     @pytest.mark.parametrize("q", ["0.3", "0.5"], ids=["beta-zero", "beta-negative"])
@@ -494,6 +524,29 @@ class TestBound:
                         "--seed", "8", "--out", str(tmp_path))
         assert code == 0
         assert json.loads(out)["all_within_bound"] is True
+
+    @pytest.mark.parametrize("pair, doubles", [
+        ("H", 7.5),
+        pytest.param("K", 9.75, marks=pytest.mark.skipif(
+            sys.version_info < (3, 11),
+            reason="before CPython 3.11 the caller keeps qep._norms' arguments alive")),
+    ])
+    def test_traced_peak(self, tmp_path, capsys, pair, doubles):
+        # H: L's blocks (2 n^2), the linearization (4) and the identity written
+        # into it (1), L0 not yet built.  K: both pencils' blocks (4), P, S, R,
+        # the Gram buffer and one scaled term (5) in the Gram solves, the
+        # differences freed
+        argv = ["bound", "--pair", pair, "--n", "300", "--p", "0.2", "--q", "0.07", "--seed", "1",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0  # warm-up: imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= doubles * 8 * 300 ** 2
 
     def test_degree_too_small_is_bad_input(self, tmp_path, capsys):
         # near-empty graph: K undefined

@@ -178,6 +178,14 @@ class TestQepBound:
         with pytest.raises(ValueError, match="non-finite"):
             qep_bound(l0, l1, spec=spec)
 
+    def test_non_finite_reference_spectrum_raises(self):
+        # a NaN nu would otherwise be every mu's nearest, at distance NaN
+        l0 = QepPair(np.diag([1.0, 2.0]), -np.eye(2))
+        l1 = QepPair(np.diag([1.0, 2.0]), -np.eye(2) + 0.01)
+        spec0 = np.concatenate(([complex(math.nan, 0.0)], l0.spectrum()[1:]))
+        with pytest.raises(ValueError, match="non-finite"):
+            qep_bound(l0, l1, spec0=spec0)
+
     def test_report_json_round_trip(self):
         rng = np.random.default_rng(7)
         l0, l1, _ = random_instance(rng, n=4)
@@ -564,6 +572,19 @@ class TestPerturbationNorms:
         qep_bound(l0, l1, spec0=spec0, spec=spec)
         classes = len({(mu.real, abs(mu.imag)) for mu in spec})
         assert 0 < len(calls) < classes / 3
+
+    @pytest.mark.parametrize("pencils", [_complex_gram_pencils, _row_scaled_pencils])
+    def test_failing_band_check_solves_no_corner(self, monkeypatch, pencils):
+        # the cheap corner bounds U already lie below the band B, so only the
+        # exact solves remain: one per conjugate class
+        l0, l1 = pencils()
+        spec0, spec = l0.spectrum(), l1.spectrum()
+        calls = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or solve(m))
+        report = qep_bound(l0, l1, spec0=spec0, spec=spec)
+        assert set(report.norm_methods) == {"gram"}
+        assert len(calls) == len({(mu.real, abs(mu.imag)) for mu in spec})
 
     def test_h_pencil_takes_no_solve(self, monkeypatch):
         l0, l1 = _h_pencils()
