@@ -29,11 +29,16 @@ class NotSymmetricError(ValueError):
     """Matrix handed to the symmetric solver is not symmetric."""
 
 
+def _finite(m: np.ndarray) -> bool:
+    """Whether every entry is finite, without an n x n temporary: max and min propagate NaN."""
+    return bool(np.isfinite(m.max(initial=0.0)) and np.isfinite(m.min(initial=0.0)))
+
+
 def _check_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not _finite(m):
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -41,8 +46,15 @@ def _check_square(m: np.ndarray) -> np.ndarray:
 def _symmetric(m: np.ndarray) -> bool:
     """Whether max |m - m^T| <= 1e-12 max |m|; a zero or empty matrix is symmetric.
 
-    One n x n temporary: the difference, made absolute in place.
+    m is first compared with m^T exactly, in row blocks of at most 1 MB of
+    bools.  Exactly symmetric, it passes that test unless an entry is
+    infinite (inf - inf is NaN).  Only a matrix that differs from its
+    transpose pays the test itself, with one n x n temporary: the
+    difference, made absolute in place.
     """
+    rows = max(1, (1 << 20) // max(len(m), 1))
+    if all((m[i:i + rows] == m.T[i:i + rows]).all() for i in range(0, len(m), rows)):
+        return _finite(m)
     gap = m - m.T
     np.abs(gap, out=gap)
     return bool(gap.max(initial=0.0) <= 1e-12 * max(m.max(initial=0.0), -m.min(initial=0.0)))
@@ -70,24 +82,35 @@ def eigs_symmetric(m: np.ndarray, with_vectors: bool = False):
     return _read_only(np.linalg.eigvalsh(m))
 
 
-def eigs_general(m: np.ndarray) -> np.ndarray:
+def eigs_general(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Eigenvalues of a general real square matrix: a read-only complex128 array.
 
-    Complex even when every eigenvalue is real.  Backed by the LAPACK dense
-    path (balancing, Hessenberg reduction, implicitly shifted QR).  Two
-    checks guard against silent breakage, each raising ``EigenSolveError``:
-    every eigenvalue must be finite, and their sum must match the trace to
-    1e-6 relative, a test that a NaN on either side fails.
+    Complex even when every eigenvalue is real.  Backed by LAPACK's dgeev
+    (balancing, Hessenberg reduction, implicitly shifted QR), which
+    ``np.linalg.eigvals`` runs on a private copy of ``m``.  With
+    ``overwrite_a`` the caller hands ``m`` over: where the OpenBLAS that
+    numpy maps exports dgeev (``_dgeev``), a writeable Fortran-ordered
+    float64 ``m`` is solved in place and left overwritten, and any other
+    ``m`` is first copied into that layout.  Both routes make the same
+    LAPACK calls and give the same bytes.  Two checks guard against silent
+    breakage, each raising ``EigenSolveError``: every eigenvalue must be
+    finite, and their sum must match the trace to 1e-6 relative, a test
+    that a NaN on either side fails.
     """
     m = _check_square(m)
-    try:
-        w = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # QR iteration cap exceeded
-        raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
+        tr = np.trace(m)  # before the solve, which may overwrite m
+    geev = _dgeev() if overwrite_a else None
+    if geev is not None:
+        w = _eigvals_in_place(geev, m)
+    else:
+        try:
+            w = np.linalg.eigvals(m)
+        except np.linalg.LinAlgError as exc:  # QR iteration cap exceeded
+            raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
     if not np.isfinite(w).all():
         raise EigenSolveError("eigensolver returned a non-finite eigenvalue")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
-        tr = np.trace(m)
+    with np.errstate(over="ignore", invalid="ignore"):
         total = w.sum()
         ref = max(np.abs(tr), np.abs(w).sum(), 1.0)
         if not abs(total - tr) <= 1e-6 * ref:
@@ -95,35 +118,113 @@ def eigs_general(m: np.ndarray) -> np.ndarray:
     return _read_only(w.astype(complex, copy=False))
 
 
-@functools.cache
-def _openblas_setters() -> tuple:
-    """``openblas_set_num_threads_local`` of every OpenBLAS mapped at the first call.
+def _eigvals_in_place(geev, m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the float64 ``m`` by ``geev``: complex128, real part wr, imaginary wi.
 
-    nbspec runs LAPACK only through numpy, and ``import numpy`` maps numpy's
-    OpenBLAS before the first ``single_blas_thread`` block, so
-    ``/proc/self/maps`` is read once per process.  A copy mapped later
-    (scipy's, say) is not limited.  Empty where ``/proc/self/maps`` does not
-    exist or no mapped OpenBLAS exports the symbol (OpenBLAS < 0.3.27,
-    another BLAS).
+    ``m`` itself is overwritten when it is writeable and Fortran-ordered,
+    and otherwise a copy is.
+    """
+    if not (m.flags.f_contiguous and m.flags.writeable):
+        m = np.array(m, order="F")
+    wr, wi = np.empty((2, len(m)))
+    info = geev(m, wr, wi)
+    if info > 0:  # QR iteration cap exceeded
+        raise EigenSolveError(f"eigensolver did not converge: dgeev info = {info}")
+    if info < 0:
+        raise RuntimeError(f"dgeev rejected its argument {-info}")
+    w = wr.astype(complex)
+    if wi.any():  # else +0.0 throughout, as numpy writes a real spectrum
+        w.imag = wi
+    return w
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """A ``ctypes.CDLL`` of every OpenBLAS mapped at the first call.
+
+    ``import numpy`` maps numpy's OpenBLAS before nbspec's first LAPACK
+    call, so ``/proc/self/maps`` is read once per process, here.  A copy
+    mapped later (scipy's, say) is not seen.  Empty where
+    ``/proc/self/maps`` does not exist.
     """
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
     except OSError:
         return ()
-    setters = []
+    libs = []
     # a library is mapped several times (text, data, ...); keep the first
     for path in dict.fromkeys(
         f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()
     ):
         try:
-            fn = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    return tuple(libs)
+
+
+@functools.cache
+def _openblas_setters() -> tuple:
+    """``openblas_set_num_threads_local`` of every library in ``_openblas()``.
+
+    Empty where none exports the symbol (OpenBLAS < 0.3.27, another BLAS).
+    """
+    setters = []
+    for lib in _openblas():
+        try:
+            fn = lib.openblas_set_num_threads_local
+        except AttributeError:
             continue
         fn.argtypes = [ctypes.c_int]
         fn.restype = ctypes.c_int
         setters.append(fn)
     return tuple(setters)
+
+
+@functools.cache
+def _dgeev():
+    """LAPACK's eigenvalue-only dgeev as ``geev(a, wr, wi) -> info``, or None.
+
+    Taken from the first library in ``_openblas()`` that exports the 64-bit
+    integer ``scipy_dgeev_64_``, as the scipy-openblas64 bundled with numpy
+    >= 2 does; None where none does.  ``geev`` overwrites the
+    Fortran-ordered float64 ``a`` and writes the real and imaginary parts of
+    its eigenvalues to ``wr`` and ``wi``.  Like numpy it first queries the
+    optimal workspace, so both make the same LAPACK calls.  ctypes releases
+    the interpreter lock during each call.
+    """
+    for lib in _openblas():
+        try:
+            raw = lib.scipy_dgeev_64_
+        except AttributeError:
+            continue
+        i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+        ptr = ctypes.c_void_p
+        # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork,
+        # info, then Fortran's hidden lengths of jobvl and jobvr
+        raw.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, ptr, i64, ptr, ptr, f64, i64,
+                        f64, i64, ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
+        raw.restype = None
+
+        def geev(a: np.ndarray, wr: np.ndarray, wi: np.ndarray) -> int:
+            n = len(a)
+            lwork, info, one = ctypes.c_int64(-1), ctypes.c_int64(0), ctypes.c_int64(1)
+            query = ctypes.c_double()  # also stands in for the unreferenced eigenvectors
+            args = [b"N", b"N", ctypes.c_int64(n), a.ctypes.data, ctypes.c_int64(max(n, 1)),
+                    wr.ctypes.data, wi.ctypes.data, query, one, query, one, ctypes.byref(query),
+                    lwork, info, 1, 1]
+            raw(*args)
+            if info.value:
+                return info.value
+            work = np.empty(int(query.value))
+            lwork.value = len(work)
+            args[11] = work.ctypes.data
+            raw(*args)
+            return info.value
+
+        return geev
+    return None
 
 
 _blas_threads_lock = threading.RLock()

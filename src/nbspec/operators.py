@@ -55,12 +55,16 @@ class QepPair:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The 2n x 2n linearization [[A, X], [I, 0]]."""
+        """The 2n x 2n linearization [[A, X], [I, 0]], a fresh Fortran-ordered array.
+
+        Fortran order is LAPACK's, so ``spectrum()`` hands it to
+        ``eigs_general`` to solve in place, with no copy.
+        """
         n = self.a_block.shape[0]
-        m = np.zeros((2 * n, 2 * n))
+        m = np.zeros((2 * n, 2 * n), order="F")
         m[:n, :n] = self.a_block
         m[:n, n:] = self.x_block
-        m[n:, :n] = np.eye(n)
+        np.fill_diagonal(m[n:, :n], 1.0)
         return m
 
     @property
@@ -88,10 +92,11 @@ class QepPair:
         For ``symmetric_scalar`` blocks they come in closed form from one
         symmetric eigensolve of A: the two roots of z^2 - lambda z - c for
         each lambda, ascending in lambda.  Otherwise from a dense
-        eigensolve of ``matrix``.
+        eigensolve of ``matrix``, which overwrites it: the solve holds the
+        blocks and the linearization, 6 n x n arrays.
         """
         if not self.symmetric_scalar:
-            return eigs_general(self.matrix)
+            return eigs_general(self.matrix, overwrite_a=True)
         # c = x[0, 0] as a length-1 slice, which an empty pencil leaves empty
         r1, r2 = quadratic_roots(eigs_symmetric(self.a_block), np.diagonal(self.x_block)[:1])
         return _read_only(np.column_stack((r1, r2)).ravel())

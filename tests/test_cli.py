@@ -14,6 +14,7 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -526,16 +527,17 @@ class TestBound:
         assert json.loads(out)["all_within_bound"] is True
 
     @pytest.mark.parametrize("pair, doubles", [
-        ("H", 7.5),
+        ("H", 7.25),
         pytest.param("K", 9.75, marks=pytest.mark.skipif(
             sys.version_info < (3, 11),
             reason="before CPython 3.11 the caller keeps qep._norms' arguments alive")),
     ])
     def test_traced_peak(self, tmp_path, capsys, pair, doubles):
-        # H: L's blocks (2 n^2), the linearization (4) and the identity written
-        # into it (1), L0 not yet built.  K: both pencils' blocks (4), P, S, R,
-        # the Gram buffer and one scaled term (5) in the Gram solves, the
-        # differences freed
+        # H: both pencils' blocks (4 n^2) and qep._nearest's 1.5 MB of
+        # differences (2.1 n^2 at n = 300); the dense solve of H before L0
+        # exists holds 6.3: L's blocks, the linearization and dgeev's
+        # workspace.  K: both pencils' blocks (4), P, S, R, the Gram buffer
+        # and one scaled term (5) in the Gram solves, the differences freed
         argv = ["bound", "--pair", pair, "--n", "300", "--p", "0.2", "--q", "0.07", "--seed", "1",
                 "--out", str(tmp_path)]
         assert main(argv) == 0  # warm-up: imports and caches stay out of the peak
@@ -547,6 +549,16 @@ class TestBound:
             tracemalloc.stop()
         capsys.readouterr()
         assert peak <= doubles * 8 * 300 ** 2
+
+    @pytest.mark.skipif(eig._dgeev() is None, reason="no mapped OpenBLAS exports scipy_dgeev_64_")
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--seeds", "2"], ["bound", "--pair", "H"], ["bound", "--pair", "K"],
+    ], ids=["classify", "bound-H", "bound-K"])
+    def test_dense_solves_skip_numpy_eigvals(self, tmp_path, capsys, monkeypatch, argv):
+        # H's and K's linearizations are solved in place; the references are closed forms
+        monkeypatch.setattr(np.linalg, "eigvals", _no_eigensolve)
+        assert main([*argv, "--n", "60", "--p", "0.5", "--q", "0.2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
 
     def test_degree_too_small_is_bad_input(self, tmp_path, capsys):
         # near-empty graph: K undefined

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,11 +63,17 @@ class TestSymmetric:
     def test_symmetry_rule_verdicts_unchanged(self):
         # the rule as first written, with three n x n temporaries
         def reference(m):
-            return bool(np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max())
+            with np.errstate(invalid="ignore"):  # inf - inf
+                return bool(np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max())
 
         rng = np.random.default_rng(17)
         cases = [(np.zeros((4, 4)), True), (-np.eye(3), True),
                  (np.array([[0.0, -1.0], [-1.0, 0.0]]), True)]
+        # non-finite entries: NaN and a mirrored inf fail, a lone inf passes
+        cases += [(np.array([[1.0, np.nan], [np.nan, 1.0]]), False),
+                  (np.array([[1.0, np.inf], [np.inf, 1.0]]), False),
+                  (np.array([[np.inf, 0.0], [0.0, 1.0]]), False),
+                  (np.array([[1.0, np.inf], [2.0, 1.0]]), True)]
         for n in (2, 5, 40):
             a = rng.standard_normal((n, n))
             s = a + a.T
@@ -77,6 +84,21 @@ class TestSymmetric:
                 cases.append((tilted, symmetric))
         for m, symmetric in cases:
             assert eig._symmetric(m) == reference(m) == symmetric
+
+    def test_exact_symmetry_needs_no_float_temporary(self):
+        a = np.random.default_rng(18).standard_normal((400, 400))
+        s = a + a.T
+        tracemalloc.start()
+        try:
+            assert eig._symmetric(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s.nbytes
+        for rel, symmetric in ((1e-13, True), (1e-11, False)):
+            tilted = s.copy()
+            tilted[0, -1] += rel * np.abs(s).max()
+            assert eig._symmetric(tilted) == symmetric
 
     def test_residuals(self):
         rng = np.random.default_rng(0)
@@ -137,6 +159,78 @@ class TestGeneral:
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: np.full(len(m), np.nan))
         assert cli.main(["spectrum", "--n", "40", "--p", "0.5", "--q", "0.2", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_nan_eigenvalue_from_the_binding_exits_3(self, tmp_path, capsys, monkeypatch):
+        def nan_geev(a, wr, wi):
+            wr.fill(np.nan)
+            wi.fill(0.0)
+            return 0
+
+        monkeypatch.setattr(eig, "_dgeev", lambda: nan_geev)
+        assert cli.main(["spectrum", "--n", "40", "--p", "0.5", "--q", "0.2", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+needs_binding = pytest.mark.skipif(eig._dgeev() is None,
+                                   reason="no mapped OpenBLAS exports scipy_dgeev_64_")
+
+
+def _handed_over_cases():
+    """(name, matrix) pairs for the in-place solve: pencils, random, symmetric, tiny."""
+    g = sample_sbm(SbmParams(n=40, p=0.5, q=0.2, seed=4))
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((30, 30))
+    return [("H", build_H(g).matrix), ("K", build_K(g).matrix), ("random", a),
+            ("symmetric", a + a.T), ("0x0", np.zeros((0, 0))), ("1x1", np.array([[-2.5]]))]
+
+
+class TestInPlace:
+    """``eigs_general(m, overwrite_a=True)`` solves m itself through LAPACK's dgeev."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_argument_kept_unless_handed_over(self, order):
+        m = np.asarray(np.random.default_rng(5).standard_normal((12, 12)), order=order)
+        kept = m.copy()
+        eigs_general(m)
+        assert np.array_equal(m, kept)
+        if order == "C":  # handed over, but not in LAPACK's layout: a copy is solved
+            eigs_general(m, overwrite_a=True)
+            assert np.array_equal(m, kept)
+
+    def test_read_only_argument_is_copied(self):
+        m = np.asfortranarray(np.random.default_rng(6).standard_normal((12, 12)))
+        kept = m.copy()
+        m.setflags(write=False)
+        eigs_general(m, overwrite_a=True)
+        assert np.array_equal(m, kept)
+
+    @needs_binding
+    def test_handed_over_argument_is_overwritten(self):
+        m = np.asfortranarray(np.random.default_rng(5).standard_normal((12, 12)))
+        kept = m.copy()
+        assert np.array_equal(eigs_general(m, overwrite_a=True), eigs_general(kept))
+        assert not np.array_equal(m, kept)
+
+    @needs_binding
+    @pytest.mark.parametrize("case", _handed_over_cases(), ids=lambda case: case[0])
+    def test_fallback_gives_the_same_bytes(self, case, monkeypatch):
+        _, m = case
+        through_binding = eigs_general(m.copy(order="F"), overwrite_a=True)
+        monkeypatch.setattr(eig, "_dgeev", lambda: None)
+        through_numpy = eigs_general(m.copy(order="F"), overwrite_a=True)
+        for w in (through_binding, through_numpy):
+            _assert_read_only(w, np.complex128)
+        assert through_binding.tobytes() == through_numpy.tobytes()
+        if not through_binding.imag.any():  # a real spectrum: +0.0, as numpy writes it
+            assert not np.signbit(through_binding.imag).any()
+
+    def test_no_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(eig, "_dgeev", lambda: lambda a, wr, wi: 1)
+        code = cli.main(["bound", "--pair", "H", "--n", "40", "--p", "0.5", "--q", "0.2",
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
 class TestQuadraticRoots:
@@ -365,8 +459,8 @@ class TestSingleBlasThread:
 
     def test_maps_read_once_however_many_runs(self, tmp_path):
         # scipy.linalg maps scipy's own OpenBLAS between the runs; nbspec calls
-        # LAPACK only through numpy, so the second run neither re-reads the
-        # maps nor prints other bytes
+        # LAPACK through numpy or from the OpenBLAS numpy maps, so the second
+        # run neither re-reads the maps nor prints other bytes
         script = f"""
 import contextlib, io, sys
 from pathlib import Path

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,28 @@ class TestQepPair:
         # X = I - D is 0 at a degree-1 vertex
         with pytest.raises(ValueError, match="diagonal, nonsingular"):
             build_H(path3()).reciprocal()
+
+    def test_linearization_is_fresh_and_fortran_ordered(self):
+        pair = _random_pencil(5)
+        n = len(pair.a_block)
+        m = pair.matrix
+        assert m.flags.f_contiguous and m.flags.writeable and m is not pair.matrix
+        assert np.array_equal(m, np.block([[pair.a_block, pair.x_block],
+                                           [np.eye(n), np.zeros((n, n))]]))
+
+    def test_dense_solve_holds_only_the_linearization(self):
+        # beside H's blocks: the 2n x 2n linearization (4 n^2), solved in
+        # place, and dgeev's workspace; no identity, and no copy for LAPACK
+        g = sample_sbm(SbmParams(n=300, p=0.2, q=0.07, seed=1))
+        h = build_H(g)
+        h.spectrum()  # warm-up
+        tracemalloc.start()
+        try:
+            h.spectrum()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * g.n ** 2
 
     def test_empty_pencil(self):
         h = build_H(Graph(n=0, edges=np.zeros((0, 2)), labels=[]))
