@@ -208,19 +208,20 @@ def check_ihara_bass(graphs: Sequence[Graph]) -> dict:
 def check_det_identity(graphs: Sequence[Graph]) -> dict:
     """det H = prod(d_i - 1), compared in log space.
 
-    With min degree >= 2, det H must be positive with log within 1e-6
-    (relative) of sum log(d_i - 1).  A degree-1 vertex makes the product 0,
-    so det H must be exactly 0 or below e^-6.  det H comes from an LU
-    factorization of H, not from Spec(H).
+    A degree-1 vertex makes the product 0, so det H must be exactly 0 or
+    below e^-6.  Otherwise det H must have the sign of prod(d_i - 1), which a
+    degree-0 vertex makes -1, with log |det H| within 1e-6 (relative) of
+    sum log |d_i - 1|.  det H comes from an LU factorization of H, not from Spec(H).
     """
 
     def row(g: Graph) -> Tuple[bool, float]:
         sign, logdet = np.linalg.slogdet(build_H(g).matrix)
-        if g.min_degree() < 2:
+        shifted = g.degrees - 1.0
+        if not shifted.all():
             return sign == 0 or logdet < -6, 0.0
-        target = float(np.sum(np.log(g.degrees - 1.0)))
+        target = float(np.sum(np.log(np.abs(shifted))))
         rel = abs(logdet - target) / max(abs(target), 1.0)
-        return sign > 0 and rel <= 1e-6, rel
+        return sign == np.prod(np.sign(shifted)) and rel <= 1e-6, rel
 
     return _verdict(map(row, graphs), "max_rel")
 

@@ -162,10 +162,6 @@ class _Gram:
         extent times ``_abs_norm_bound`` of the term, bounds what the box's
         thickness adds to ||E||^2, and may not exceed min N.  It holds when
         the mu lie in a thin band of |mu|^2, as K's bulk does, not in a plane.
-        The corners are solved only if B <= min U, where U >= N at a corner
-        is ``_abs_norm_bound`` of P plus |coordinate| times that of each
-        term, raised by gamma_(2n+12) for the sums and the eigensolve's
-        error, plus N's allowance: so a check that must fail costs no solve.
 
         Rounding, with u, gamma_k, n, f and g as in ``exact``.  G may be
         indefinite at a corner key (x, r, y), where r < x^2 + y^2 is allowed;
@@ -191,14 +187,10 @@ class _Gram:
                 rho2 = sum(c if a == 1 else c * c for a, c in zip(self.axes, np.moveaxis(corners, -1, 0)))
                 h = self.f + np.sqrt(2.0 * rho2) * self.g
                 allowance = _gamma(2 * self.n + 12) * (h * h)
-                sizes = [_abs_norm_bound(m) for _, m, _ in self.terms]
-                band = sum((e[-1] - e[0]) * size for e, axis, size in zip(edges, self.axes, sizes) if axis)
-                flat = corners.reshape(-1, len(edges))
-                upper = ((_abs_norm_bound(self.p) + np.abs(flat) @ sizes) * (1 + _gamma(2 * self.n + 12))
-                         + allowance.ravel())
-                if band <= upper.min():
-                    bound = self._top(flat).reshape(h.shape) + allowance
-                    crowded = inside if band <= bound.min() else crowded
+                band = sum((e[-1] - e[0]) * _abs_norm_bound(m)
+                           for e, (axis, m, _) in zip(edges, self.terms) if axis)
+                bound = self._top(corners.reshape(-1, len(edges))).reshape(h.shape) + allowance
+                crowded = inside if band <= bound.min() else crowded
         if crowded.any():
             # elementwise, so equal keys get equal bounds wherever they sit in mus
             t = [np.divide(v - e[i], e[i + 1] - e[i], out=np.zeros(v.size), where=e[i + 1] > e[i])

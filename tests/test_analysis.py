@@ -34,6 +34,8 @@ from nbspec.graphgen import (
 from nbspec.operators import build_B, build_H, build_H0, build_K
 from nbspec.qep import qep_bound
 
+from conftest import make_graph
+
 
 class TestClassify:
     def test_fig1_layout(self, fig1_instance, fig1_spectra):
@@ -209,6 +211,17 @@ class TestChecks:
         assert check()["status"] == "pass"
         monkeypatch.setattr(analysis, attr, broken)
         assert check()["status"] == "fail"
+
+    @pytest.mark.parametrize("graph", [
+        make_graph(4, [(0, 1), (0, 2), (1, 2)]),
+        make_graph(5, [(0, 1), (0, 3), (1, 2), (2, 3)]),
+        make_graph(3, []),
+    ], ids=["triangle", "c4", "empty"])
+    def test_det_identity_with_isolated_vertices(self, monkeypatch, graph):
+        # each degree-0 vertex gives d_i - 1 = -1: det H = -1 here, not 0
+        assert check_det_identity([graph]) == {"status": "pass", "max_rel": 0.0}
+        monkeypatch.setattr(analysis, "build_H", _h_off_by_identity)
+        assert check_det_identity([graph])["status"] == "fail"
 
 
 class TestSemicircle:

@@ -729,6 +729,37 @@ def test_src_imports_are_all_used():
     assert not unused, unused
 
 
+def test_src_private_names_are_all_used():
+    """Every ``_``-prefixed function, class or constant of ``src/nbspec`` is referenced in it.
+
+    Definitions are those at module level and in class bodies; a reference is a
+    load of the name or an attribute of that name, anywhere in the package.
+    """
+    defined, used = {}, set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "nbspec").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        for stmt in (stmt for body in bodies for stmt in body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{stmt.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{where} {name}" for name, where in defined.items() if name not in used]
+    assert not unused, unused
+
+
 class TestBlasThreads:
     """Every command runs LAPACK on one OpenBLAS thread and restores the count after."""
 
