@@ -19,7 +19,7 @@ from typing import Optional, TextIO, Tuple
 import numpy as np
 
 from . import analysis, operators, qep
-from .eig import EigenSolveError, eigs_general, eigs_symmetric, single_blas_thread
+from .eig import EigenSolveError, _openblas, eigs_general, eigs_symmetric, single_blas_thread
 from .graphgen import (
     DegreeStats,
     Graph,
@@ -42,31 +42,25 @@ EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
 
 
-def _thread_cap() -> Optional[int]:
-    """The worker cap set by ``NBSPEC_THREADS``, or None when it is unset."""
-    raw = os.environ.get("NBSPEC_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-        if cap >= 1:
-            return cap
-    except ValueError:
-        pass
-    raise InvalidParameters(f"NBSPEC_THREADS must be a positive integer, got {raw!r}")
-
-
-def _workers(tasks: int, pinned: bool) -> int:
+def _workers(tasks: int) -> int:
     """Pool size for ``tasks`` independent tasks, the one rule of every pool.
 
-    One worker per task, capped by the usable cores and ``NBSPEC_THREADS``,
-    when every OpenBLAS runs on one thread (``pinned``).  Workers on a BLAS
-    that cannot be limited would oversubscribe the cores: it gets one.
+    One worker per task, capped by the usable cores and the positive integer
+    ``NBSPEC_THREADS``, where ``main`` runs every OpenBLAS on one thread
+    (``_openblas`` has thread setters).  Workers on a BLAS that cannot be
+    limited would oversubscribe the cores: it gets one.  A malformed
+    ``NBSPEC_THREADS`` raises, so each command sizes its pool before its work.
     """
-    if not pinned:
+    raw = os.environ.get("NBSPEC_THREADS")
+    try:
+        cap = tasks if raw is None else int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidParameters(f"NBSPEC_THREADS must be a positive integer, got {raw!r}")
+    if not _openblas().setters:
         return 1
-    cap = _thread_cap()
-    return min(tasks, len(os.sched_getaffinity(0)), tasks if cap is None else cap)
+    return min(tasks, len(os.sched_getaffinity(0)), cap)
 
 
 def _check_args(args) -> None:
@@ -75,8 +69,6 @@ def _check_args(args) -> None:
         raise InvalidParameters(f"--seeds must be at least 1, got {args.seeds}")
     if not 0 <= getattr(args, "tau", 0) < 1:
         raise InvalidParameters(f"--tau must lie in [0, 1), got {args.tau}")
-    if args.command in ("classify", "verify"):
-        _thread_cap()  # raises on a malformed NBSPEC_THREADS
     if hasattr(args, "preset") and sum((args.preset is not None, args.input is not None,
                                         (args.n, args.p, args.q) != (None,) * 3)) > 1:
         raise InvalidParameters("give only one graph source: --preset, --input or --n/--p/--q")
@@ -220,7 +212,7 @@ def cmd_classify(args) -> int:
         }
 
     seeds = list(range(args.seed, args.seed + args.seeds))
-    with ThreadPoolExecutor(max_workers=_workers(len(seeds), args.pinned)) as pool:
+    with ThreadPoolExecutor(max_workers=_workers(len(seeds))) as pool:
         results = list(pool.map(one, seeds))
     doc = results[0] if len(results) == 1 else {"runs": results}
     text = json.dumps(doc, indent=2)
@@ -271,23 +263,22 @@ def _er_checks(args) -> dict:
 def _verify_suite(args) -> dict:
     """The ER checks, and the KS distance of Spec(A) to the semicircle on a fig1-right graph, n=800.
 
-    The n=800 graph is sampled and its adjacency built first, and only then
-    do the ER checks start on the pool worker.  So they run while the
-    calling thread is inside ``eigvalsh``, which releases the interpreter
-    lock, and not beside the sampling, whose many short numpy calls each
-    take it.  The eigvalsh stays on the calling thread, whose OpenBLAS
-    buffer is already allocated: on the pool worker it raised peak RSS 12 %.
+    The pool is sized first, so a malformed ``NBSPEC_THREADS`` fails before
+    any sampling.  Then the n=800 graph is sampled and its adjacency built,
+    and only then do the ER checks start on the pool worker, when there is
+    one.  So they run while the calling thread is inside ``eigvalsh``, which
+    releases the interpreter lock, and not beside the sampling, whose many
+    short numpy calls each take it.  The eigvalsh stays on the calling
+    thread, whose OpenBLAS buffer is already allocated: on the pool worker
+    it raised peak RSS 12 %.  Without a worker the ER checks follow it.
     """
+    pooled = _workers(2) > 1
     params = fig1_params("right", n=800, seed=args.seed)
     a = sample_sbm(params).adjacency()
-    if _workers(2, args.pinned) > 1:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            er = pool.submit(_er_checks, args)
-            spec_a = eigs_symmetric(a)
-            results = er.result()
-    else:
-        results = _er_checks(args)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        er = pool.submit(_er_checks, args) if pooled else None
         spec_a = eigs_symmetric(a)
+        results = er.result() if pooled else _er_checks(args)
     ks = analysis.semicircle_ks(spec_a, "A-spectrum", expected_stats(params))
     return {**results, "semicircle-ks": {"status": "pass" if ks <= 0.06 else "fail",
                                          "ks_distance": ks}}
@@ -369,7 +360,7 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         # one OpenBLAS thread per task: pools, not BLAS threads, use the cores
-        with single_blas_thread() as args.pinned:
+        with single_blas_thread():
             return handlers[args.command](args)
     except InvalidParameters as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ import ctypes
 import functools
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -86,28 +86,38 @@ def eigs_general(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Eigenvalues of a general real square matrix: a read-only complex128 array.
 
     Complex even when every eigenvalue is real.  Backed by LAPACK's dgeev
-    (balancing, Hessenberg reduction, implicitly shifted QR), which
-    ``np.linalg.eigvals`` runs on a private copy of ``m``.  With
-    ``overwrite_a`` the caller hands ``m`` over: where the OpenBLAS that
-    numpy maps exports dgeev (``_dgeev``), a writeable Fortran-ordered
-    float64 ``m`` is solved in place and left overwritten, and any other
-    ``m`` is first copied into that layout.  Both routes make the same
-    LAPACK calls and give the same bytes.  Two checks guard against silent
-    breakage, each raising ``EigenSolveError``: every eigenvalue must be
-    finite, and their sum must match the trace to 1e-6 relative, a test
-    that a NaN on either side fails.
+    (balancing, Hessenberg reduction, implicitly shifted QR), with one route
+    per platform.  Where a mapped OpenBLAS exports it (``_openblas``),
+    dgeev is called directly: on ``m`` itself when the caller hands it over
+    (``overwrite_a``) and it is a writeable Fortran-ordered float64 array,
+    which is left overwritten, and on one Fortran-ordered copy otherwise.
+    Elsewhere ``np.linalg.eigvals`` runs it on a private copy; both routes
+    make the same LAPACK calls and give the same bytes.  Two checks guard
+    against silent breakage, each raising ``EigenSolveError``: every
+    eigenvalue must be finite, and their sum must match the trace to 1e-6
+    relative, a test that a NaN on either side fails.
     """
     m = _check_square(m)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
         tr = np.trace(m)  # before the solve, which may overwrite m
-    geev = _dgeev() if overwrite_a else None
-    if geev is not None:
-        w = _eigvals_in_place(geev, m)
-    else:
+    geev = _openblas().geev
+    if geev is None:
         try:
             w = np.linalg.eigvals(m)
         except np.linalg.LinAlgError as exc:  # QR iteration cap exceeded
             raise EigenSolveError(f"eigensolver did not converge: {exc}") from exc
+    else:
+        if not (overwrite_a and m.flags.f_contiguous and m.flags.writeable):
+            m = np.array(m, order="F")
+        wr, wi = np.empty((2, len(m)))
+        info = geev(m, wr, wi)
+        if info > 0:  # QR iteration cap exceeded
+            raise EigenSolveError(f"eigensolver did not converge: dgeev info = {info}")
+        if info < 0:
+            raise RuntimeError(f"dgeev rejected its argument {-info}")
+        w = wr.astype(complex)
+        if wi.any():  # else +0.0 throughout, as numpy writes a real spectrum
+            w.imag = wi
     if not np.isfinite(w).all():
         raise EigenSolveError("eigensolver returned a non-finite eigenvalue")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -118,134 +128,103 @@ def eigs_general(m: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     return _read_only(w.astype(complex, copy=False))
 
 
-def _eigvals_in_place(geev, m: np.ndarray) -> np.ndarray:
-    """The eigenvalues of the float64 ``m`` by ``geev``: complex128, real part wr, imaginary wi.
+class _OpenBlas(NamedTuple):
+    """What nbspec calls in the OpenBLAS libraries mapped at the first lookup."""
 
-    ``m`` itself is overwritten when it is writeable and Fortran-ordered,
-    and otherwise a copy is.
-    """
-    if not (m.flags.f_contiguous and m.flags.writeable):
-        m = np.array(m, order="F")
-    wr, wi = np.empty((2, len(m)))
-    info = geev(m, wr, wi)
-    if info > 0:  # QR iteration cap exceeded
-        raise EigenSolveError(f"eigensolver did not converge: dgeev info = {info}")
-    if info < 0:
-        raise RuntimeError(f"dgeev rejected its argument {-info}")
-    w = wr.astype(complex)
-    if wi.any():  # else +0.0 throughout, as numpy writes a real spectrum
-        w.imag = wi
-    return w
+    setters: tuple  # openblas_set_num_threads_local of each library that exports it
+    geev: Optional[Callable]  # dgeev of the first that exports scipy_dgeev_64_, or None
 
 
 @functools.cache
-def _openblas() -> tuple:
-    """A ``ctypes.CDLL`` of every OpenBLAS mapped at the first call.
+def _openblas() -> _OpenBlas:
+    """The thread setters and the bound dgeev of every OpenBLAS mapped at the first call.
 
     ``import numpy`` maps numpy's OpenBLAS before nbspec's first LAPACK
-    call, so ``/proc/self/maps`` is read once per process, here.  A copy
-    mapped later (scipy's, say) is not seen.  Empty where
-    ``/proc/self/maps`` does not exist.
+    call, so ``/proc/self/maps`` is read once per process, here, and each
+    library is looked up once.  A copy mapped later (scipy's, say) is not
+    seen.  The setters are empty where no library exports the symbol
+    (OpenBLAS < 0.3.27, another BLAS, no ``/proc/self/maps``), and ``geev``
+    is None where none exports the 64-bit integer ``scipy_dgeev_64_``, as
+    the scipy-openblas64 bundled with numpy >= 2 does.
     """
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
     except OSError:
-        return ()
-    libs = []
+        return _OpenBlas((), None)
+    setters, geev = [], None
     # a library is mapped several times (text, data, ...); keep the first
     for path in dict.fromkeys(
         f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()
     ):
         try:
-            libs.append(ctypes.CDLL(path))
+            lib = ctypes.CDLL(path)
         except OSError:
             continue
-    return tuple(libs)
+        set_threads = getattr(lib, "openblas_set_num_threads_local", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+            setters.append(set_threads)
+        if geev is None and hasattr(lib, "scipy_dgeev_64_"):
+            geev = _bind_dgeev(lib.scipy_dgeev_64_)
+    return _OpenBlas(tuple(setters), geev)
 
 
-@functools.cache
-def _openblas_setters() -> tuple:
-    """``openblas_set_num_threads_local`` of every library in ``_openblas()``.
+def _bind_dgeev(raw) -> Callable:
+    """LAPACK's eigenvalue-only dgeev from ``raw``, as ``geev(a, wr, wi) -> info``.
 
-    Empty where none exports the symbol (OpenBLAS < 0.3.27, another BLAS).
+    ``geev`` overwrites the Fortran-ordered float64 ``a`` and writes the
+    real and imaginary parts of its eigenvalues to ``wr`` and ``wi``.  Like
+    numpy it first queries the optimal workspace, so both make the same
+    LAPACK calls.  ctypes releases the interpreter lock during each call.
     """
-    setters = []
-    for lib in _openblas():
-        try:
-            fn = lib.openblas_set_num_threads_local
-        except AttributeError:
-            continue
-        fn.argtypes = [ctypes.c_int]
-        fn.restype = ctypes.c_int
-        setters.append(fn)
-    return tuple(setters)
+    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    ptr = ctypes.c_void_p
+    # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork,
+    # info, then Fortran's hidden lengths of jobvl and jobvr
+    raw.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, ptr, i64, ptr, ptr, f64, i64,
+                    f64, i64, ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
+    raw.restype = None
 
-
-@functools.cache
-def _dgeev():
-    """LAPACK's eigenvalue-only dgeev as ``geev(a, wr, wi) -> info``, or None.
-
-    Taken from the first library in ``_openblas()`` that exports the 64-bit
-    integer ``scipy_dgeev_64_``, as the scipy-openblas64 bundled with numpy
-    >= 2 does; None where none does.  ``geev`` overwrites the
-    Fortran-ordered float64 ``a`` and writes the real and imaginary parts of
-    its eigenvalues to ``wr`` and ``wi``.  Like numpy it first queries the
-    optimal workspace, so both make the same LAPACK calls.  ctypes releases
-    the interpreter lock during each call.
-    """
-    for lib in _openblas():
-        try:
-            raw = lib.scipy_dgeev_64_
-        except AttributeError:
-            continue
-        i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
-        ptr = ctypes.c_void_p
-        # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork,
-        # info, then Fortran's hidden lengths of jobvl and jobvr
-        raw.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, ptr, i64, ptr, ptr, f64, i64,
-                        f64, i64, ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
-        raw.restype = None
-
-        def geev(a: np.ndarray, wr: np.ndarray, wi: np.ndarray) -> int:
-            n = len(a)
-            lwork, info, one = ctypes.c_int64(-1), ctypes.c_int64(0), ctypes.c_int64(1)
-            query = ctypes.c_double()  # also stands in for the unreferenced eigenvectors
-            args = [b"N", b"N", ctypes.c_int64(n), a.ctypes.data, ctypes.c_int64(max(n, 1)),
-                    wr.ctypes.data, wi.ctypes.data, query, one, query, one, ctypes.byref(query),
-                    lwork, info, 1, 1]
-            raw(*args)
-            if info.value:
-                return info.value
-            work = np.empty(int(query.value))
-            lwork.value = len(work)
-            args[11] = work.ctypes.data
-            raw(*args)
+    def geev(a: np.ndarray, wr: np.ndarray, wi: np.ndarray) -> int:
+        n = len(a)
+        lwork, info, one = ctypes.c_int64(-1), ctypes.c_int64(0), ctypes.c_int64(1)
+        query = ctypes.c_double()  # also stands in for the unreferenced eigenvectors
+        args = [b"N", b"N", ctypes.c_int64(n), a.ctypes.data, ctypes.c_int64(max(n, 1)),
+                wr.ctypes.data, wi.ctypes.data, query, one, query, one, ctypes.byref(query),
+                lwork, info, 1, 1]
+        raw(*args)
+        if info.value:
             return info.value
+        work = np.empty(int(query.value))
+        lwork.value = len(work)
+        args[11] = work.ctypes.data
+        raw(*args)
+        return info.value
 
-        return geev
-    return None
+    return geev
 
 
 _blas_threads_lock = threading.RLock()
 
 
 @contextmanager
-def single_blas_thread() -> Iterator[bool]:
+def single_blas_thread() -> Iterator[None]:
     """Run the block with numpy's OpenBLAS limited to one thread.
 
-    Every OpenBLAS mapped at the first block is limited (``_openblas_setters``).
-    Yields whether any library could be limited.  The thread count is
-    process-wide, not per calling thread: despite its name,
-    ``openblas_set_num_threads_local`` sets the global count and returns the
-    previous one.  That count is restored on exit, and the lock keeps
-    overlapping blocks from restoring each other's setting.
+    Every OpenBLAS mapped at the first lookup that exports a thread setter
+    (``_openblas``) is limited; where none does, the block runs on the
+    BLAS's own threads.  The thread count is process-wide, not per calling
+    thread: despite its name, ``openblas_set_num_threads_local`` sets the
+    global count and returns the previous one.  That count is restored on
+    exit, and the lock keeps overlapping blocks from restoring each other's
+    setting.
     """
     with _blas_threads_lock:
-        setters = _openblas_setters()
+        setters = _openblas().setters
         previous = [set_threads(1) for set_threads in setters]
         try:
-            yield bool(setters)
+            yield
         finally:
             for set_threads, count in zip(setters, previous):
                 set_threads(count)

@@ -180,7 +180,9 @@ def circulant(n: int, offsets) -> Graph:
 
 
 def er_pool(count, n=16, p=0.4, start_seed=0, min_degree=1):
-    """Seeded Erdos-Renyi graphs conditioned on a minimum degree."""
+    """Seeded Erdos-Renyi graphs conditioned on a minimum degree, at most n - 1."""
+    if min_degree > n - 1:  # no graph on n vertices has it: the draws would never end
+        raise InvalidParameters(f"min_degree must be at most n - 1 = {n - 1}, got {min_degree}")
     graphs = []
     seed = start_seed
     while len(graphs) < count:

@@ -250,7 +250,9 @@ class TestBadInput:
 
     @pytest.mark.parametrize("threads", ["0", "abc"])
     def test_verify_rejects_bad_thread_cap(self, tmp_path, capsys, monkeypatch, threads):
+        # verify sizes its pool before it samples the n = 800 graph
         monkeypatch.setenv("NBSPEC_THREADS", threads)
+        monkeypatch.setattr(cli, "sample_sbm", _no_sampling)
         code = main(["verify", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
@@ -349,6 +351,10 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(expected) and err.count("\n") == 1
+
+
+def _no_sampling(params):
+    raise AssertionError("sampled a graph")
 
 
 def _no_eigensolve(m):
@@ -550,14 +556,21 @@ class TestBound:
         capsys.readouterr()
         assert peak <= doubles * 8 * 300 ** 2
 
-    @pytest.mark.skipif(eig._dgeev() is None, reason="no mapped OpenBLAS exports scipy_dgeev_64_")
+    @pytest.mark.skipif(eig._openblas().geev is None,
+                        reason="no mapped OpenBLAS exports scipy_dgeev_64_")
     @pytest.mark.parametrize("argv", [
-        ["classify", "--seeds", "2"], ["bound", "--pair", "H"], ["bound", "--pair", "K"],
-    ], ids=["classify", "bound-H", "bound-K"])
+        ["classify", "--seeds", "2", "--n", "60", "--p", "0.5", "--q", "0.2"],
+        ["bound", "--pair", "H", "--n", "60", "--p", "0.5", "--q", "0.2"],
+        ["bound", "--pair", "K", "--n", "60", "--p", "0.5", "--q", "0.2"],
+        ["spectrum", "--preset", "k4"],
+        ["spectrum", "--n", "40", "--p", "0.5", "--q", "0.2"],
+    ], ids=["classify", "bound-H", "bound-K", "spectrum-k4", "spectrum-sbm"])
     def test_dense_solves_skip_numpy_eigvals(self, tmp_path, capsys, monkeypatch, argv):
-        # H's and K's linearizations are solved in place; the references are closed forms
+        # where dgeev is bound every dense solve goes through it: H's and K's
+        # linearizations in place, the caller-owned B on a copy; the
+        # references are closed forms
         monkeypatch.setattr(np.linalg, "eigvals", _no_eigensolve)
-        assert main([*argv, "--n", "60", "--p", "0.5", "--q", "0.2", "--out", str(tmp_path)]) == 0
+        assert main([*argv, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
 
     def test_degree_too_small_is_bad_input(self, tmp_path, capsys):
@@ -652,8 +665,7 @@ class TestVerify:
         er = [i for i, event in enumerate(events) if event[0] == "er"]
         assert len(er) == 1
         assert events[:er[0]] == [("sampled", 800), ("adjacency", 800)]
-        with eig.single_blas_thread() as pinned:
-            pooled = cli._workers(2, pinned) > 1
+        pooled = cli._workers(2) > 1
         assert (events[er[0]][1] != threading.get_ident()) == pooled
 
 
@@ -760,13 +772,37 @@ def test_src_private_names_are_all_used():
     assert not unused, unused
 
 
+def test_benchmark_per_layer_names_are_public_functions():
+    """Each function that BENCHMARK.json's ``per_layer`` list names is public in its layer.
+
+    ``bench/run.py --trace 1`` traces the functions in each layer's
+    ``__all__``, and ``graphgen.Graph.adjacency``, then looks every listed
+    metric up by name: a deleted, renamed or unlisted function raises
+    ``KeyError`` there.  Metrics of no function (``cli.self_s``,
+    ``trace.overhead_s``) name no attribute and are skipped.
+    """
+    root = Path(__file__).resolve().parents[1]
+    listed = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    missing = []
+    for name in sorted({metric["name"].rsplit(".", 1)[0] for metric in listed}):
+        layer, *path = name.split(".")
+        if not path:
+            continue
+        module = obj = importlib.import_module(f"nbspec.{layer}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if path[0] not in module.__all__ or not inspect.isfunction(obj):
+            missing.append(name)
+    assert not missing, missing
+
+
 class TestBlasThreads:
     """Every command runs LAPACK on one OpenBLAS thread and restores the count after."""
 
     @pytest.fixture
     def setters(self):
         """Each loaded OpenBLAS's setter, with every count set to 2 for the test."""
-        setters = eig._openblas_setters()
+        setters = eig._openblas().setters
         if not setters:
             pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
         original = [set_threads(2) for set_threads in setters]
@@ -794,28 +830,32 @@ class TestBlasThreads:
         assert main([*argv, "--out", str(tmp_path)]) == expected
         assert self._counts(setters) == [2] * len(setters)
 
+    @staticmethod
+    def _unlimited(monkeypatch):
+        """Show ``cli`` a handle with no thread setters, as a BLAS nbspec cannot limit gives.
+
+        ``single_blas_thread`` still limits the real BLAS: such output is
+        byte-stable only at a fixed BLAS thread count, so it runs one thread,
+        as OPENBLAS_NUM_THREADS=1 would set.
+        """
+        blas = eig._openblas()._replace(setters=())
+        monkeypatch.setattr(cli, "_openblas", lambda: blas)
+
     @pytest.mark.parametrize("threads", [None, "1", "64"])
     def test_unlimited_blas_gets_one_worker(self, monkeypatch, threads):
         if threads is None:
             monkeypatch.delenv("NBSPEC_THREADS", raising=False)
         else:
             monkeypatch.setenv("NBSPEC_THREADS", threads)
-        assert cli._workers(4, False) == 1
+        self._unlimited(monkeypatch)
+        assert cli._workers(4) == 1
 
     def test_verify_on_unlimited_blas_matches_pinned_run(self, tmp_path, capsys, monkeypatch):
         # a BLAS nbspec cannot limit: verify runs its two halves in turn, same bytes
         monkeypatch.delenv("NBSPEC_THREADS", raising=False)
         args = ("verify", "--seed", "5", "--out", str(tmp_path))
         _, pinned = run(capsys, *args)
-
-        @contextlib.contextmanager
-        def unlimited():
-            # such output is byte-stable only at a fixed BLAS thread count, so
-            # the BLAS runs one thread, as OPENBLAS_NUM_THREADS=1 would set
-            with eig.single_blas_thread():
-                yield False
-
-        monkeypatch.setattr(cli, "single_blas_thread", unlimited)
+        self._unlimited(monkeypatch)
         _, unpinned = run(capsys, *args)
         assert unpinned == pinned
 

@@ -19,7 +19,7 @@ from nbspec.eig import (
     quadratic_roots,
     single_blas_thread,
 )
-from nbspec.operators import QepPair, build_H, build_H0, build_K, build_K0
+from nbspec.operators import QepPair, build_B, build_H, build_H0, build_K, build_K0
 from nbspec.graphgen import (
     DegreeStats,
     SbmParams,
@@ -156,6 +156,7 @@ class TestGeneral:
             eigs_general(np.array(m))
 
     def test_nan_eigenvalue_exits_3(self, tmp_path, capsys, monkeypatch):
+        _patch_geev(monkeypatch, None)  # numpy's route, as where no OpenBLAS exports dgeev
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: np.full(len(m), np.nan))
         assert cli.main(["spectrum", "--n", "40", "--p", "0.5", "--q", "0.2", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.count("\n") == 1
@@ -166,29 +167,39 @@ class TestGeneral:
             wi.fill(0.0)
             return 0
 
-        monkeypatch.setattr(eig, "_dgeev", lambda: nan_geev)
+        _patch_geev(monkeypatch, nan_geev)
         assert cli.main(["spectrum", "--n", "40", "--p", "0.5", "--q", "0.2", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.count("\n") == 1
 
 
-needs_binding = pytest.mark.skipif(eig._dgeev() is None,
+def _patch_geev(monkeypatch, geev):
+    """Put ``geev`` in the OpenBLAS handle in dgeev's place; None routes every solve to numpy."""
+    blas = eig._openblas()._replace(geev=geev)
+    monkeypatch.setattr(eig, "_openblas", lambda: blas)
+
+
+needs_binding = pytest.mark.skipif(eig._openblas().geev is None,
                                    reason="no mapped OpenBLAS exports scipy_dgeev_64_")
 
 
 def _handed_over_cases():
-    """(name, matrix) pairs for the in-place solve: pencils, random, symmetric, tiny."""
+    """(name, matrix) pairs for dgeev: pencils, B matrices, random, symmetric, tiny."""
     g = sample_sbm(SbmParams(n=40, p=0.5, q=0.2, seed=4))
     rng = np.random.default_rng(8)
     a = rng.standard_normal((30, 30))
-    return [("H", build_H(g).matrix), ("K", build_K(g).matrix), ("random", a),
-            ("symmetric", a + a.T), ("0x0", np.zeros((0, 0))), ("1x1", np.array([[-2.5]]))]
+    return [("H", build_H(g).matrix), ("K", build_K(g).matrix),
+            ("B-K3", build_B(complete_graph(3))), ("B-K4", build_B(complete_graph(4))),
+            ("B-sbm", build_B(sample_sbm(SbmParams(n=12, p=0.5, q=0.2, seed=3)))),
+            ("random", a), ("symmetric", a + a.T), ("0x0", np.zeros((0, 0))),
+            ("1x1", np.array([[-2.5]]))]
 
 
 class TestInPlace:
-    """``eigs_general(m, overwrite_a=True)`` solves m itself through LAPACK's dgeev."""
+    """``eigs_general`` calls LAPACK's dgeev: on m itself when handed over, else on a copy."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_argument_kept_unless_handed_over(self, order):
+        # a writeable Fortran-ordered m is dgeev's layout, yet the caller keeps it
         m = np.asarray(np.random.default_rng(5).standard_normal((12, 12)), order=order)
         kept = m.copy()
         eigs_general(m)
@@ -216,16 +227,32 @@ class TestInPlace:
     def test_fallback_gives_the_same_bytes(self, case, monkeypatch):
         _, m = case
         through_binding = eigs_general(m.copy(order="F"), overwrite_a=True)
-        monkeypatch.setattr(eig, "_dgeev", lambda: None)
+        on_a_copy = eigs_general(m)
+        by_numpy = np.linalg.eigvals(m).astype(complex)
+        _patch_geev(monkeypatch, None)
         through_numpy = eigs_general(m.copy(order="F"), overwrite_a=True)
-        for w in (through_binding, through_numpy):
+        for w in (through_binding, on_a_copy, through_numpy):
             _assert_read_only(w, np.complex128)
-        assert through_binding.tobytes() == through_numpy.tobytes()
+            assert w.tobytes() == by_numpy.tobytes()
         if not through_binding.imag.any():  # a real spectrum: +0.0, as numpy writes it
             assert not np.signbit(through_binding.imag).any()
 
+    @needs_binding
+    @pytest.mark.parametrize("graph", [
+        ["--preset", "k4"], ["--n", "40", "--p", "0.5", "--q", "0.2"],
+    ], ids=["k4", "sbm"])
+    def test_spectrum_gives_the_same_bytes_without_the_binding(self, tmp_path, capsys,
+                                                               monkeypatch, graph):
+        runs = []
+        for geev in (eig._openblas().geev, None):
+            _patch_geev(monkeypatch, geev)
+            assert cli.main(["spectrum", *graph, "--out", str(tmp_path)]) == 0
+            files = [(tmp_path / f"spectrum_{m}.csv").read_bytes() for m in "HB"]
+            runs.append((capsys.readouterr().out, files))
+        assert runs[0] == runs[1]
+
     def test_no_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(eig, "_dgeev", lambda: lambda a, wr, wi: 1)
+        _patch_geev(monkeypatch, lambda a, wr, wi: 1)
         code = cli.main(["bound", "--pair", "H", "--n", "40", "--p", "0.5", "--q", "0.2",
                          "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -441,19 +468,18 @@ class TestSpectrumType:
 
 class TestSingleBlasThread:
     def test_limits_inside_and_restores_after(self):
-        setters = eig._openblas_setters()
+        setters = eig._openblas().setters
         if not setters:
             pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
         # each setter returns the count it replaces
         original = [set_threads(2) for set_threads in setters]
         try:
-            with single_blas_thread() as pinned:
+            with single_blas_thread():
                 inside = [set_threads(1) for set_threads in setters]
             after = [set_threads(2) for set_threads in setters]
         finally:
             for set_threads, count in zip(setters, original):
                 set_threads(count)
-        assert pinned
         assert inside == [1] * len(setters)
         assert after == [2] * len(setters)
 

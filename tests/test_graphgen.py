@@ -13,6 +13,7 @@ from nbspec.graphgen import (
     SbmParams,
     circulant,
     degree_concentration,
+    er_pool,
     expected_stats,
     read_edge_list,
     sample_sbm,
@@ -151,6 +152,18 @@ class TestSampling:
         var_edges = pairs_intra * p * (1 - p) + pairs_inter * q * (1 - q)
         se = 2 / n * math.sqrt(var_edges / 200)
         assert abs(np.mean(means) - stats.alpha) <= 3 * se
+
+
+class TestErPool:
+    @pytest.mark.parametrize("n, min_degree", [(4, 4), (4, 10), (16, 16)])
+    def test_rejects_unreachable_min_degree(self, n, min_degree):
+        # no graph on n vertices has a vertex of degree n or more: no draw would ever pass
+        with pytest.raises(InvalidParameters, match="min_degree"):
+            er_pool(1, n=n, p=0.5, min_degree=min_degree)
+
+    def test_min_degree_n_minus_1_is_the_complete_graph(self):
+        (g,) = er_pool(1, n=4, p=0.99, min_degree=3)
+        assert g.num_edges == 6 and g.min_degree() == 3
 
 
 class TestGraphLabels:
